@@ -66,8 +66,11 @@ _UNSEEDED_RANDOM = {
     "randbytes",
 }
 #: attribute calls whose yielded result marks a function as a process
-#: generator (sim.timeout(...), lock.acquire(...), throttler.take(...), …)
-_PROCESS_YIELD_ATTRS = {"timeout", "acquire", "take", "event", "begin_op", "all_of"}
+#: generator (sim.timeout(...), lock.acquire(...), throttler.take(...),
+#: thread.charge(...), …)
+_PROCESS_YIELD_ATTRS = {
+    "timeout", "acquire", "take", "event", "begin_op", "all_of", "charge",
+}
 _BROAD_EXCEPTION_NAMES = {"Exception", "BaseException"}
 
 
@@ -129,25 +132,40 @@ def _leaf_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _is_waitable_factory_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and _leaf_name(node.func) in _PROCESS_YIELD_ATTRS
+    )
+
+
 def _is_process_generator(fn: ast.AST) -> bool:
     """Heuristic: does this function look like a DES process generator?
 
-    ``yield from``-delegating functions count (all verbs helpers do), as
-    does yielding the result of a known waitable factory (``timeout``,
-    ``acquire``, ``take``, …) or a ``.done`` event.
+    ``yield from``-delegating functions count, as does yielding the
+    result of a known waitable factory (``timeout``, ``acquire``,
+    ``take``, ``charge``, …) — directly or through a local name bound to
+    such a call (``nap = thread.charge(ns)`` … ``yield nap``) — or a
+    ``.done`` event.
     """
+    factory_names: Set[str] = set()
+    yielded_names: Set[str] = set()
     for child in _own_scope(fn):
         if isinstance(child, ast.YieldFrom):
             return True
+        if isinstance(child, ast.Assign) and _is_waitable_factory_call(child.value):
+            factory_names.update(
+                t.id for t in child.targets if isinstance(t, ast.Name)
+            )
         if isinstance(child, ast.Yield) and child.value is not None:
             value = child.value
-            if isinstance(value, ast.Call):
-                name = _leaf_name(value.func)
-                if name in _PROCESS_YIELD_ATTRS:
-                    return True
+            if _is_waitable_factory_call(value):
+                return True
+            if isinstance(value, ast.Name):
+                yielded_names.add(value.id)
             if isinstance(value, ast.Attribute) and value.attr == "done":
                 return True
-    return False
+    return bool(factory_names & yielded_names)
 
 
 def _mentions(node: ast.AST, attr_names: Set[str]) -> bool:

@@ -114,21 +114,26 @@ class HashTableClient:
         wr2 = handle.read(addr2, layout.BUCKET_BYTES)
         yield from handle.post_send()
         yield from handle.sync()
-        slots = []
-        for base_addr, wr in ((addr1, wr1), (addr2, wr2)):
-            data = wr.result
-            for i in range(layout.SLOTS_PER_BUCKET):
-                raw = layout.unpack_u64(data[i * 8 : i * 8 + 8])
-                slots.append((base_addr + i * 8, raw))
+        offsets = layout.SLOT_OFFSETS
+        slots = [
+            (addr1 + offset, raw)
+            for offset, raw in zip(offsets, layout.unpack_bucket(wr1.result))
+        ]
+        slots.extend(
+            (addr2 + offset, raw)
+            for offset, raw in zip(offsets, layout.unpack_bucket(wr2.result))
+        )
         return slots
 
     def _match_candidates(self, key: int, slots, blade_id: int):
         """Slots whose fingerprint matches ``key``."""
         fp = layout.fingerprint(key)
+        # The fingerprint is a slot's top byte (see layout.decode_slot);
+        # filtering on it directly spares a Slot per candidate.
         return [
             (slot_addr, raw)
             for slot_addr, raw in slots
-            if raw != layout.EMPTY_SLOT and layout.decode_slot(raw).fingerprint == fp
+            if raw != layout.EMPTY_SLOT and (raw >> 56) & 0xFF == fp
         ]
 
     def _verify(self, key: int, raw: int, blade_id: int):

@@ -24,7 +24,7 @@ KV block::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SLOTS_PER_BUCKET = 7
 BUCKET_BYTES = 64  # 7 slots + 8 spare bytes; one cacheline
@@ -34,6 +34,9 @@ DIR_HEADER_BYTES = 24
 
 _U64 = struct.Struct("<Q")
 _KV = struct.Struct("<QQ")
+_BUCKET = struct.Struct(f"<{SLOTS_PER_BUCKET}Q")
+#: byte offset of each slot inside its bucket
+SLOT_OFFSETS = tuple(range(0, SLOTS_PER_BUCKET * 8, 8))
 
 _ADDR_MASK = (1 << 48) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -64,9 +67,8 @@ def fingerprint(key: int) -> int:
     return fp or 1
 
 
-@dataclass(frozen=True)
-class Slot:
-    """Decoded slot value."""
+class Slot(NamedTuple):
+    """Decoded slot value (a named tuple: cheap to build on the op path)."""
 
     fingerprint: int
     kv_units: int
@@ -116,6 +118,11 @@ def pack_u64(value: int) -> bytes:
 
 def unpack_u64(data: bytes) -> int:
     return _U64.unpack(data)[0]
+
+
+def unpack_bucket(data: bytes) -> tuple:
+    """The ``SLOTS_PER_BUCKET`` raw slot values of one bucket read."""
+    return _BUCKET.unpack_from(data)
 
 
 def segment_bytes(buckets_per_segment: int) -> int:

@@ -69,6 +69,9 @@ class MicrobenchResult:
     phase_breakdown: Optional[dict] = None
     #: RDMASan report (only when the run was sanitized; None otherwise)
     sanitizer: Optional[dict] = None
+    #: kernel events the whole point executed (warmup + measure), as
+    #: :attr:`repro.bench.runner.RunResult.sim_events`
+    sim_events: int = 0
 
     def __str__(self) -> str:
         return (
@@ -284,6 +287,7 @@ def run_microbench(
             r.device.counters.odp_invalidations for r in remotes
         ),
         merged_wrs=compute.device.counters.merged_wrs,
+        sim_events=sim.events_executed,
     )
     if latencies:
         ordered = sorted(latencies)

@@ -13,7 +13,7 @@ from repro.memory.blade import MemoryBlade
 from repro.network.fabric import Fabric
 from repro.rnic.config import RnicConfig
 from repro.rnic.device import RnicDevice
-from repro.sim import Simulator
+from repro.sim import Charge, Simulator
 
 
 class ComputeThread:
@@ -33,17 +33,40 @@ class ComputeThread:
         #: QPs to each remote node, keyed by node_id (set up by an
         #: allocation policy or by SMART's thread-aware allocator)
         self.qps = {}
+        #: the one reusable yield :meth:`charge` re-arms
+        self._charge = Charge()
 
-    def compute(self, ns: float) -> Generator:
-        """Charge ``ns`` of serialized CPU time to this thread."""
+    def charge(self, ns: float) -> Optional[Charge]:
+        """Charge ``ns`` of serialized CPU time; returns the sleep to yield.
+
+        Returns ``None`` when the thread is not delayed (nothing to
+        yield).  The returned :class:`~repro.sim.core.Charge` is shared
+        by the thread's coroutines and re-armed per call, so yield it
+        straight away::
+
+            nap = thread.charge(ns)
+            if nap is not None:
+                yield nap
+        """
         if ns < 0:
             raise ValueError("negative CPU time")
-        start = max(self.sim.now, self.busy_until)
-        end = start + ns
+        now = self.sim.now
+        busy = self.busy_until
+        end = (busy if busy > now else now) + ns
         self.busy_until = end
-        delay = end - self.sim.now
+        delay = end - now
         if delay > 0:
-            yield self.sim.timeout(delay)
+            nap = self._charge
+            nap.ns = round(delay)
+            return nap
+        return None
+
+    def compute(self, ns: float) -> Generator:
+        """Charge ``ns`` of serialized CPU time to this thread (generator
+        form of :meth:`charge`)."""
+        nap = self.charge(ns)
+        if nap is not None:
+            yield nap
 
     def mark_busy_until_now(self) -> None:
         """Record that the CPU was spinning until the current instant."""

@@ -23,7 +23,7 @@ from repro.core.features import SmartFeatures
 from repro.core.stats import OperationStats
 from repro.core.throttle import WorkRequestThrottler
 from repro.cluster import ComputeThread
-from repro.memory.address import blade_of
+from repro.memory.address import BLADE_SHIFT, blade_of
 from repro.rnic import verbs
 from repro.rnic.qp import (
     WorkBatch,
@@ -36,6 +36,14 @@ from repro.rnic.qp import (
 )
 
 _U64 = struct.Struct("<Q")
+
+
+def _group_by_blade(wrs: List[WorkRequest]):
+    """``(blade id, WRs)`` groups in order of each blade's first WR."""
+    by_node: Dict[int, List[WorkRequest]] = {}
+    for wr in wrs:
+        by_node.setdefault(blade_of(wr.remote_addr), []).append(wr)
+    return by_node.items()
 
 
 class SmartThread:
@@ -59,6 +67,12 @@ class SmartThread:
         self.stats = OperationStats()
         #: optional :class:`repro.obs.tracing.TraceRecorder` for op spans
         self.recorder = None
+        #: completion callback of every batch this thread's handles post:
+        #: one bound method, not a closure per batch
+        self.on_batch_done = self._batch_done
+
+    def _batch_done(self, batch: WorkBatch) -> None:
+        self.throttler.on_complete(len(batch.wrs))
 
     def handle(self) -> "SmartHandle":
         """A fresh per-coroutine handle sharing this thread's resources."""
@@ -140,29 +154,42 @@ class SmartHandle:
         chunks, each gated on credits — otherwise Algorithm 1's
         ``while credit - size < 0: wait`` could never be satisfied.
         """
-        if not self._buffer:
+        wrs = self._buffer
+        if not wrs:
             return
-        wrs, self._buffer = self._buffer, []
-        by_node: Dict[int, List[WorkRequest]] = {}
+        self._buffer = []
+        # Fast path: every WR targets the first WR's blade (one group).
+        node_id = blade_of(wrs[0].remote_addr)
+        top = wrs[0].remote_addr >> BLADE_SHIFT
         for wr in wrs:
-            by_node.setdefault(blade_of(wr.remote_addr), []).append(wr)
-        throttler = self.smart.throttler
-        for node_id, group in by_node.items():
-            qp = self.thread.qp_for(node_id)
+            if wr.remote_addr >> BLADE_SHIFT != top:
+                groups = _group_by_blade(wrs)
+                break
+        else:
+            groups = ((node_id, wrs),)
+        smart = self.smart
+        throttler = smart.throttler
+        thread = self.thread
+        for node_id, group in groups:
+            qp = thread.qp_for(node_id)
+            total = len(group)
             cursor = 0
-            while cursor < len(group):
-                chunk_len = len(group) - cursor
+            while cursor < total:
+                chunk_len = total - cursor
                 if throttler.enabled:
                     chunk_len = min(chunk_len, max(1, throttler.cmax))
-                chunk = group[cursor : cursor + chunk_len]
+                if chunk_len == total:
+                    chunk = group
+                else:
+                    chunk = group[cursor : cursor + chunk_len]
                 cursor += chunk_len
                 # Algorithm 1 line 4: batch size rides in the last wr_id.
-                chunk[-1].wr_id = ("batch", len(chunk))
-                yield throttler.take(len(chunk))
+                chunk[-1].wr_id = ("batch", chunk_len)
+                yield throttler.take(chunk_len)
                 batch = yield from verbs.post_send(
-                    self.thread, qp, chunk, actor=self.actor
+                    thread, qp, chunk, actor=self.actor
                 )
-                batch.done._subscribe(lambda b: throttler.on_complete(len(b)))
+                batch.done._subscribe(smart.on_batch_done)
                 self._pending.append(batch)
 
     def sync(self):
@@ -175,8 +202,9 @@ class SmartHandle:
         """
         pending, self._pending = self._pending, []
         failed: List[WorkBatch] = []
+        thread = self.thread
         for batch in pending:
-            yield from verbs.wait_completion(self.thread, batch)
+            yield from verbs.wait_completion(thread, batch)
             if not batch.ok:
                 failed.append(batch)
         self.last_errors = failed

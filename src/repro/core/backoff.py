@@ -68,9 +68,7 @@ class ConflictAvoider:
     def begin_op(self) -> Waitable:
         """Take one operation credit (blocks beyond c_max concurrent ops)."""
         if not self.features.coroutine_throttling:
-            ticket = self.sim.event()
-            ticket.fire(1)
-            return ticket
+            return self._op_credits.granted(1)
         return self._op_credits.take(1)
 
     def end_op(self) -> None:

@@ -40,9 +40,7 @@ class WorkRequestThrottler:
     def take(self, amount: int) -> Waitable:
         """SmartPostSend's credit debit; fires when posting may proceed."""
         if not self.enabled:
-            ticket = self.sim.event()
-            ticket.fire(amount)
-            return ticket
+            return self.credits.granted(amount)
         return self.credits.take(amount)
 
     def on_complete(self, amount: int) -> None:

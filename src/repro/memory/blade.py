@@ -145,10 +145,10 @@ class MemoryBlade:
         region — a write only partially landing in NVM still pays the
         media penalty for the NVM part (overlap, not containment)."""
         end = offset + size
-        return any(
-            r.persistent and r.base < end and offset < r.end
-            for r in self._regions.values()
-        )
+        for r in self._regions.values():
+            if r.persistent and r.base < end and offset < r.end:
+                return True
+        return False
 
     def global_addr(self, offset: int) -> int:
         return make_addr(self.blade_id, offset)

@@ -213,15 +213,17 @@ class RnicDevice:
 
     def complete(self, batch: WorkBatch) -> None:
         """Response arrived: DMA the CQEs and wake the poster."""
-        self.outstanding -= len(batch)
+        n = len(batch.wrs)
+        self.outstanding -= n
         if self.outstanding < 0:  # pragma: no cover - invariant guard
             raise RuntimeError(f"{self.name}: negative outstanding WR count")
-        self.counters.cqe_delivered += len(batch)
-        batch.qp.completed_wrs += len(batch)
-        batch.qp.cq.deliver(batch)
-        batch.completed_at = self.sim.now
+        self.counters.cqe_delivered += n
+        qp = batch.qp
+        qp.completed_wrs += n
+        qp.cq.deliver(batch)
+        now = batch.completed_at = self.sim.now
         if self.tracer is not None:
-            self.tracer.record(batch.batch_id, "completed", self.sim.now)
+            self.tracer.record(batch.batch_id, "completed", now)
         if self.sanitizer is not None:
             self.sanitizer.on_complete(batch)
         batch.done.fire(batch)

@@ -14,7 +14,7 @@ import struct
 
 from repro.memory.address import blade_of, offset_of
 from repro.rnic import qp as qpmod
-from repro.rnic.qp import WorkBatch
+from repro.rnic.qp import AM_SEND, CAS, FAA, READ, WRITE, QueuePair, WorkBatch
 
 _U64 = struct.Struct("<Q")
 
@@ -31,16 +31,15 @@ class RequesterEngine:
         device = self.device
         sim = device.sim
         config = device.config
-        n = len(batch)
+        n = len(batch.wrs)
 
-        device.outstanding += n
-        outstanding = device.outstanding
-        context_count = len(device.contexts)
-        if device.tracer is not None:
-            device.tracer.record(batch.batch_id, "posted", sim.now)
+        outstanding = device.outstanding = device.outstanding + n
+        tracer = device.tracer
+        if tracer is not None:
+            tracer.record(batch.batch_id, "posted", sim.now)
 
         qp = batch.qp
-        if qp.state == qpmod.QueuePair.STATE_ERROR:
+        if qp.state == QueuePair.STATE_ERROR:
             # Driver-level flush: WRs posted on an ERROR QP never reach
             # the wire; they complete immediately with a flush status.
             device.fail_batch(batch, qpmod.WorkRequest.STATUS_FLUSH)
@@ -58,7 +57,7 @@ class RequesterEngine:
         # One memoized evaluation per cache model: service multiplier,
         # miss rate and DMA cost all derive from the same miss curve.
         wqe_miss, wqe_multiplier, wqe_dma_per_wr = device.wqe_cache.lookup(outstanding)
-        mtt_hit, mtt_multiplier = device.mtt_cache.lookup(context_count)
+        mtt_hit, mtt_multiplier = device.mtt_cache.lookup(len(device.contexts))
         per_wr_ns = config.iops_service_ns * (wqe_multiplier * mtt_multiplier)
         bandwidth_ns = batch.wire_bytes / min(
             config.network_bytes_per_ns, config.pcie_bytes_per_ns
@@ -67,8 +66,11 @@ class RequesterEngine:
         # the issue pipeline processes one WQE per *wire* message
         # (wire_wrs == n unless RnicConfig.merge_wrs fused some).
         wire_n = batch.wire_wrs
-        start = max(sim.now, self.busy_until)
-        finish = start + max(wire_n * per_wr_ns, bandwidth_ns)
+        now = sim.now
+        busy = self.busy_until
+        start = busy if busy > now else now
+        issue_ns = wire_n * per_wr_ns
+        finish = start + (bandwidth_ns if bandwidth_ns > issue_ns else issue_ns)
         self.busy_until = finish
 
         counters = device.counters
@@ -84,15 +86,15 @@ class RequesterEngine:
 
         if device.recorder is not None and wqe_miss > 0.0:
             device.recorder.instant(
-                device.name, "requester", "wqe_cache_miss", sim.now,
+                device.name, "requester", "wqe_cache_miss", now,
                 {"batch": batch.batch_id, "miss_rate": round(wqe_miss, 4),
                  "outstanding": outstanding},
             )
-        if device.tracer is not None:
+        if tracer is not None:
             # Every other stage records sim.now, which the event loop
             # quantizes with round() — truncating here instead skewed the
             # post_to_issue/issue_to_remote split by up to 1 ns per batch.
-            device.tracer.record(batch.batch_id, "issued", int(round(finish)))
+            tracer.record(batch.batch_id, "issued", int(round(finish)))
         self._transmit(batch, finish, 0)
 
     def _transmit(self, batch: WorkBatch, ready_ns: float, attempt: int) -> None:
@@ -167,7 +169,6 @@ class ResponderEngine:
         device = self.device
         sim = device.sim
         config = device.config
-        n = len(batch)
 
         if not device.online:
             # The blade died while the request was in flight: blackhole.
@@ -181,7 +182,8 @@ class ResponderEngine:
             )
             return
 
-        if batch.wrs[0].opcode == qpmod.AM_SEND:
+        wrs = batch.wrs
+        if wrs[0].opcode == AM_SEND:
             # Active messages pay the same reception pipeline, then hand
             # off to the blade-side handler runtime (created on first AM;
             # one-sided runs never allocate it).
@@ -194,10 +196,10 @@ class ResponderEngine:
         odp_penalty = 0.0
         storage = device.storage
         if storage is not None:
-            for wr in batch.wrs:
+            for wr in wrs:
                 # The penalty applies when any part of the written span
                 # lands in NVM, not just the first byte.
-                if wr.opcode == qpmod.WRITE and storage.is_persistent(
+                if wr.opcode == WRITE and storage.is_persistent(
                     offset_of(wr.remote_addr), wr.size
                 ):
                     nvm_penalty += config.nvm_write_extra_ns
@@ -210,11 +212,14 @@ class ResponderEngine:
                 odp_penalty = odp.charge(batch, sim.now)
 
         origin_tracer = batch.qp.device.tracer
+        now = sim.now
         if origin_tracer is not None:
-            origin_tracer.record(batch.batch_id, "remote_start", sim.now)
-        start = max(sim.now, self.busy_until)
+            origin_tracer.record(batch.batch_id, "remote_start", now)
+        busy = self.busy_until
+        start = busy if busy > now else now
+        service_ns = batch.wire_wrs * per_wr_ns
         finish = (
-            start + max(batch.wire_wrs * per_wr_ns, bandwidth_ns)
+            start + (bandwidth_ns if bandwidth_ns > service_ns else service_ns)
             + nvm_penalty + odp_penalty
         )
         self.busy_until = finish
@@ -256,13 +261,14 @@ class ResponderEngine:
         if storage is None:
             raise RuntimeError(f"{device.name}: one-sided op targets a blade without memory")
         enforce = device.config.enforce_protection
-        for wr in batch.wrs:
+        wrs = batch.wrs
+        for wr in wrs:
             if enforce and not self._access_allowed(storage, wr):
                 wr.status = wr.STATUS_ACCESS_ERROR
                 device.counters.protection_faults += 1
                 continue
             self._execute(storage, wr)
-        device.counters.responder_ops += len(batch)
+        device.counters.responder_ops += len(wrs)
         origin = batch.qp.device
         if origin.tracer is not None:
             origin.tracer.record(batch.batch_id, "executed", device.sim.now)
@@ -322,20 +328,22 @@ class ResponderEngine:
 
     @staticmethod
     def _execute(storage, wr) -> None:
-        offset = offset_of(wr.remote_addr)
-        if blade_of(wr.remote_addr) != storage.blade_id:
+        addr = wr.remote_addr
+        offset = offset_of(addr)
+        if blade_of(addr) != storage.blade_id:
             raise RuntimeError(
                 f"WR routed to blade {storage.blade_id} but addressed to "
-                f"blade {blade_of(wr.remote_addr)}"
+                f"blade {blade_of(addr)}"
             )
-        if wr.opcode == qpmod.READ:
+        opcode = wr.opcode
+        if opcode == READ:
             wr.result = storage.read(offset, wr.size)
-        elif wr.opcode == qpmod.WRITE:
+        elif opcode == WRITE:
             storage.write(offset, wr.payload)
             wr.result = len(wr.payload)
-        elif wr.opcode == qpmod.CAS:
+        elif opcode == CAS:
             wr.result = storage.compare_and_swap(offset, wr.compare, wr.swap)
-        elif wr.opcode == qpmod.FAA:
+        elif opcode == FAA:
             wr.result = storage.fetch_and_add(offset, wr.delta)
         else:  # pragma: no cover - guarded in WorkRequest
             raise ValueError(wr.opcode)

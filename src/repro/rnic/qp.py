@@ -175,13 +175,14 @@ class WorkBatch:
     )
 
     def __init__(self, sim: Simulator, qp: "QueuePair", wrs: List[WorkRequest]):
-        if not wrs:
+        n = len(wrs)
+        if not n:
             raise ValueError("empty work batch")
         sim.next_batch_id += 1
         self.batch_id = sim.next_batch_id
         self.wrs = wrs
         self.qp = qp
-        self.done: Event = sim.event()
+        self.done: Event = Event(sim)
         self.posted_at = sim.now
         self.completed_at: Optional[int] = None
         #: stable identity of the logical issuer (RDMASan attribution);
@@ -192,28 +193,30 @@ class WorkBatch:
         response = 0
         am_count = 0
         for wr in wrs:
-            wire += wr.size + MESSAGE_OVERHEAD_BYTES
-            if wr.opcode == WRITE:
-                write_payload += wr.size
+            size = wr.size
+            wire += size + MESSAGE_OVERHEAD_BYTES
+            opcode = wr.opcode
+            if opcode == WRITE:
+                write_payload += size
                 # a WRITE's return direction is just the transport ack
                 response += MESSAGE_OVERHEAD_BYTES
-            elif wr.opcode == AM_SEND:
+            elif opcode == AM_SEND:
                 am_count += 1
                 # the handler's reply carries its declared response bytes
                 response += wr.resp_size + MESSAGE_OVERHEAD_BYTES
             else:
                 # READ response carries the data; atomics return 8 bytes
-                response += wr.size + MESSAGE_OVERHEAD_BYTES
-        if 0 < am_count < len(wrs):
+                response += size + MESSAGE_OVERHEAD_BYTES
+        if 0 < am_count < n:
             # The responder routes whole batches: an active message rides
             # alone or with other AMs, never mixed with one-sided verbs.
             raise ValueError("AM_SEND cannot share a batch with one-sided WRs")
         #: wire messages this batch issues; == len(wrs) unless RDMAbox
         #: request merging fused adjacent WRs (``RnicConfig.merge_wrs``)
-        self.wire_wrs = len(wrs)
-        if qp.context.device.config.merge_wrs and len(wrs) > 1 and not am_count:
+        self.wire_wrs = n
+        if n > 1 and not am_count and qp.device.config.merge_wrs:
             groups = plan_merges(wrs)
-            if len(groups) < len(wrs):
+            if len(groups) < n:
                 self.wire_wrs = len(groups)
                 wire = response = 0
                 index = 0
@@ -249,7 +252,10 @@ class WorkBatch:
 
     @property
     def ok(self) -> bool:
-        return all(wr.status == WorkRequest.STATUS_OK for wr in self.wrs)
+        for wr in self.wrs:
+            if wr.status != WorkRequest.STATUS_OK:
+                return False
+        return True
 
     def errors(self) -> List[WorkRequest]:
         """The WRs that completed with a non-OK status."""
@@ -270,7 +276,7 @@ class CompletionQueue:
         self.batches_delivered = 0
 
     def deliver(self, batch: WorkBatch) -> None:
-        self.cqes_delivered += len(batch)
+        self.cqes_delivered += len(batch.wrs)
         self.batches_delivered += 1
 
 
@@ -301,6 +307,8 @@ class QueuePair:
         QueuePair._next_id += 1
         self.qp_id = QueuePair._next_id
         self.context = context
+        #: the local RNIC (``context.device``; fixed for the QP's life)
+        self.device = context.device
         self.doorbell = doorbell
         self.cq = cq
         self.remote_node = remote_node
@@ -347,10 +355,6 @@ class QueuePair:
             return 0.0
         sharers = min(max(len(self.users) - 1, 0), config.doorbell_bounce_cap)
         return config.doorbell_share_ns * sharers
-
-    @property
-    def device(self):
-        return self.context.device
 
     @property
     def outstanding(self) -> int:

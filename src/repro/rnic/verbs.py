@@ -10,9 +10,11 @@ The cost structure mirrors the mlx5 driver:
    the CQEs have been DMA-ed back;
 5. polling the CQ costs CPU per CQE.
 
-Threads are duck-typed: anything with ``compute(ns)`` (a generator that
-charges serialized CPU time) and ``sim`` works — see
-:class:`repro.cluster.ComputeThread`.
+Threads are duck-typed: anything with ``charge(ns)`` (charges serialized
+CPU time and returns the sleep to yield, or ``None``), ``config`` and
+``sim`` works — see :class:`repro.cluster.ComputeThread`.  The CPU
+charges are yielded directly rather than through ``yield from
+thread.compute(...)``: one generator frame less per charge.
 """
 
 from __future__ import annotations
@@ -33,62 +35,72 @@ def post_send(thread, qp: QueuePair, wrs: List[WorkRequest], actor=None) -> Gene
     """
     device = qp.device
     config = device.config
-    batch = WorkBatch(device.sim, qp, wrs)
+    sim = device.sim
+    n = len(wrs)
+    batch = WorkBatch(sim, qp, wrs)
     if actor is not None:
         batch.actor = actor
 
-    yield from thread.compute(config.wqe_build_ns * len(wrs))
+    nap = thread.charge(config.wqe_build_ns * n)
+    if nap is not None:
+        yield nap
 
     if qp.state == QueuePair.STATE_ERROR:
         # Posting on an ERROR QP skips the doorbell entirely: the driver
         # flushes the WRs straight to the CQ with IBV_WC_WR_FLUSH_ERR.
         # CPU for WQE building is still charged (the check happens at
         # ring time), which also keeps retry loops from spinning at t=0.
-        qp.posted_wrs += len(wrs)
+        qp.posted_wrs += n
         if device.sanitizer is not None:
             device.sanitizer.on_post(thread, qp, batch)
         device.requester.submit(batch)
         return batch
 
     thread_id = getattr(thread, "thread_id", 0)
-    if qp.share_lock is not None:
+    share_lock = qp.share_lock
+    if share_lock is not None:
         qp.note_user(thread_id)
-        yield qp.share_lock.acquire(owner=thread_id)
+        yield share_lock.acquire(owner=thread_id)
     try:
-        if qp.share_lock is not None:
+        if share_lock is not None:
             thread.mark_busy_until_now()
             # Contended lock word: every acquisition fights the sharers'
             # spinning reads (cache-line bouncing).
-            yield from thread.compute(qp.sharing_penalty_ns(config))
+            nap = thread.charge(qp.sharing_penalty_ns(config))
+            if nap is not None:
+                yield nap
         doorbell = qp.doorbell
         doorbell.note_user(thread_id)
-        wait_start = device.sim.now
-        yield doorbell.lock.acquire(owner=thread_id)
+        lock = doorbell.lock
+        wait_start = sim.now
+        yield lock.acquire(owner=thread_id)
         try:
             # The wait above was a spin: the thread's CPU was burning the
             # whole time, so bring its watermark up to now before the
             # locked section.
             thread.mark_busy_until_now()
-            if device.recorder is not None and device.sim.now > wait_start:
+            if device.recorder is not None and sim.now > wait_start:
                 device.recorder.instant(
-                    device.name, "requester", "doorbell_stall", device.sim.now,
+                    device.name, "requester", "doorbell_stall", sim.now,
                     {"doorbell": doorbell.index, "thread": thread_id,
-                     "stall_ns": device.sim.now - wait_start},
+                     "stall_ns": sim.now - wait_start},
                 )
             # With request merging on, fused neighbours share one WQE: the
             # write-combining copy under the lock covers wire_wrs WQEs,
             # not one per posted WR (wire_wrs == len(wrs) when merging is
             # off).
-            yield from thread.compute(doorbell.held_cost_ns(config, batch.wire_wrs))
+            nap = thread.charge(doorbell.held_cost_ns(config, batch.wire_wrs))
+            if nap is not None:
+                yield nap
         finally:
-            doorbell.lock.release(owner=thread_id)
+            lock.release(owner=thread_id)
     finally:
-        if qp.share_lock is not None:
-            qp.share_lock.release(owner=thread_id)
+        if share_lock is not None:
+            share_lock.release(owner=thread_id)
 
     doorbell.rings += 1
     device.counters.doorbell_rings += 1
-    qp.posted_wrs += len(wrs)
+    qp.posted_wrs += n
     if device.sanitizer is not None:
         device.sanitizer.on_post(thread, qp, batch)
     device.requester.submit(batch)
@@ -109,26 +121,31 @@ def wait_completion(thread, batch: WorkBatch) -> Generator:
     increasingly better as more CQEs arrive per wakeup.
     """
     config = thread.config
+    done = batch.done
     if not config.adaptive_poll:
-        if not batch.done.triggered:
-            yield batch.done
-        yield from thread.compute(config.cqe_poll_ns * len(batch))
+        if not done.triggered:
+            yield done
+        nap = thread.charge(config.cqe_poll_ns * len(batch.wrs))
+        if nap is not None:
+            yield nap
         return batch
     amortized_ns = config.cqe_poll_ns * (
         1.0 + config.poll_drain_factor * (len(batch) - 1)
     )
-    if batch.done.triggered:
+    if done.triggered:
         # Already completed when the poller arrived: one cold drain
         # (the CQEs piled up while the thread was elsewhere).
-        yield from thread.compute(amortized_ns)
-        return batch
-    wait_start = thread.sim.now
-    yield batch.done
-    if thread.sim.now - wait_start <= config.poll_spin_ns:
-        # Caught within the spin budget — hot path, per-CQE cost.
-        yield from thread.compute(config.cqe_poll_ns * len(batch))
+        nap = thread.charge(amortized_ns)
     else:
-        yield from thread.compute(config.poll_yield_ns + amortized_ns)
+        wait_start = thread.sim.now
+        yield done
+        if thread.sim.now - wait_start <= config.poll_spin_ns:
+            # Caught within the spin budget — hot path, per-CQE cost.
+            nap = thread.charge(config.cqe_poll_ns * len(batch))
+        else:
+            nap = thread.charge(config.poll_yield_ns + amortized_ns)
+    if nap is not None:
+        yield nap
     return batch
 
 

@@ -10,11 +10,12 @@ acquisition tickets from :class:`FifoLock`) and is resumed with the
 waitable's value.
 """
 
-from repro.sim.core import Delay, Event, Interrupt, Process, Simulator, Timeout
+from repro.sim.core import Charge, Delay, Event, Interrupt, Process, Simulator, Timeout
 from repro.sim.resources import FifoLock, SpinLock, TokenBucket
 from repro.sim.rng import ScrambledZipfianGenerator, UniformGenerator, ZipfianGenerator
 
 __all__ = [
+    "Charge",
     "Delay",
     "Event",
     "FifoLock",

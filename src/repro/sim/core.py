@@ -48,6 +48,24 @@ def _invoke_noarg(callback: Callable[[], None]) -> None:
     callback()
 
 
+def _wake(process: "Process") -> None:
+    """Marker entry of a :class:`Charge`: queue ``process``'s resume at the
+    tail of the tick being drained — exactly where ``Timeout._trigger``
+    appends its subscriber.  The run loop inlines this (``what is
+    _wake``); ``step()`` and budgeted runs call it."""
+    bucket = process._sim._active
+    bucket.append(process)
+    bucket.append(None)
+
+
+def _skip(_value: Any) -> None:
+    """Stand-in for a cancelled bucket entry (see ``_cancel_wakeups``)."""
+
+
+#: ``run()`` without ``until``: a tick bound no simulation reaches
+_NO_LIMIT = 1 << 62
+
+
 class Interrupt(Exception):
     """Thrown into a process that is interrupted while waiting."""
 
@@ -176,6 +194,32 @@ class Delay:
         return f"Delay({self.ns})"
 
 
+class Charge:
+    """A reusable CPU-charge yield: a sleep ordered exactly like a Timeout.
+
+    Yielding a ``Charge`` resumes the process ``ns`` nanoseconds later
+    with ``None`` and takes the same two bucket entries as a
+    :class:`Timeout` created at the yield: a marker at ``now + ns`` which,
+    when it drains, appends the process to the *tail* of that tick's
+    bucket.  What it saves is the Timeout object, its subscriber list and
+    the trigger call.  A :class:`Delay` would take one entry but resume
+    the process at the marker's position, ahead of everything appended to
+    the tick after the marker was scheduled — a different same-tick order.
+
+    Like :meth:`Delay.retime`, the kernel reads ``ns`` once, when the
+    charge is yielded, so an owner keeps one instance and re-arms it per
+    sleep (see :meth:`repro.cluster.ComputeThread.charge`).
+    """
+
+    __slots__ = ("ns",)
+
+    def __init__(self, ns: int = 0):
+        self.ns = ns
+
+    def __repr__(self) -> str:
+        return f"Charge({self.ns})"
+
+
 class Event(Waitable):
     """A one-shot event fired explicitly via :meth:`fire`."""
 
@@ -232,6 +276,9 @@ class Process(Waitable):
             self.error = error
             self._finish(error)
             raise
+        # The process caught the interrupt and waits again: the sleep it
+        # was interrupted in must not resume it later.
+        self._sim._cancel_wakeups(self)
         self._wait_on(target)
 
     def _resume(self, value: Any) -> None:
@@ -252,7 +299,11 @@ class Process(Waitable):
         self._wait_on(target)
 
     def _wait_on(self, target: Any) -> None:
-        if type(target) is Delay:
+        cls = type(target)
+        if cls is Charge:
+            sim = self._sim
+            sim._schedule_at(sim.now + target.ns, _wake, self)
+        elif cls is Delay:
             sim = self._sim
             sim._schedule_at(sim.now + target.ns, self, None)
         elif isinstance(target, Waitable):
@@ -529,91 +580,181 @@ class Simulator:
             return
         if until is not None:
             until = int(round(until))
+            limit = until
+        else:
+            limit = _NO_LIMIT
         wheel = self._wheel
         free = self._free
         times = self._wheel_times
+        overflow_times = self._overflow_times
         heappush = heapq.heappush
-        while True:
-            bucket = self._next_bucket(until)
-            if bucket is None:
-                break
-            now = self.now
-            base = self._base
-            i = self._active_pos
-            start = i
-            # Drain the whole tick.  The outer loop rechecks the length —
-            # entries appended mid-drain (same-tick cascades) extend the
-            # bucket past the hoisted bound, while the inner loop runs
-            # free of len() calls.  The finally clause keeps the cursor
-            # consistent when a callback raises, so remaining entries
-            # survive for a rerun.
-            try:
-              while True:
+        heappop = heapq.heappop
+        # Locals, not globals, in the drain loop below.
+        Process_, Delay_, Charge_ = Process, Delay, Charge
+        Timeout_, Event_, wake = Timeout, Event, _wake
+        slots, mask = _WHEEL_SLOTS, _WHEEL_MASK
+        bucket = self._next_bucket(until)
+        if bucket is None:
+            if until is not None and until > self.now:
+                self.now = until
+            return
+        now = self.now
+        base = self._base
+        i = start = self._active_pos
+        # Drain tick after tick.  The inner loop runs free of len() calls
+        # over the entries present when it started; entries appended
+        # mid-drain (same-tick cascades) extend the bucket and the outer
+        # loop picks them up.  A drained tick hands over to the next
+        # occupied wheel tick inline; only window migration, a stale
+        # window (overflow head first) and the ``until`` bound go through
+        # _next_bucket.  The finally clause keeps the cursor consistent
+        # when a callback raises, so remaining entries survive a rerun.
+        try:
+            while True:
                 n = len(bucket)
-                if i >= n:
-                    break
-                while i < n:
-                    what = bucket[i]
-                    value = bucket[i + 1]
-                    i += 2
-                    if what.__class__ is Process:
-                        # Fused process resume (mirrors Process._resume).
-                        if not what._alive:
-                            continue
-                        try:
-                            target = what.generator.send(value)
-                        except StopIteration as stop:
-                            what._finish(stop.value)
-                            continue
-                        except BaseException as error:
-                            what.error = error
-                            what._finish(error)
-                            raise
-                        cls = target.__class__
-                        if cls is Delay:
-                            # Fused Delay reschedule: straight into the
-                            # destination bucket, no scheduler frames.
-                            when2 = now + target.ns
-                            if when2 == now:
-                                bucket.append(what)
-                                bucket.append(None)
-                            elif 0 <= when2 - base < _WHEEL_SLOTS:
-                                index = when2 & _WHEEL_MASK
-                                dest = wheel[index]
-                                if dest is None:
-                                    dest = free.pop() if free else []
-                                    wheel[index] = dest
-                                    heappush(times, when2)
-                                dest.append(what)
-                                dest.append(None)
+                if i < n:
+                    while i < n:
+                        what = bucket[i]
+                        value = bucket[i + 1]
+                        i += 2
+                        cls = what.__class__
+                        if cls is Process_:
+                            # Fused process resume (mirrors Process._resume).
+                            if not what._alive:
+                                continue
+                            try:
+                                target = what.generator.send(value)
+                            except StopIteration as stop:
+                                what._finish(stop.value)
+                                continue
+                            except BaseException as error:
+                                what.error = error
+                                what._finish(error)
+                                raise
+                            cls = target.__class__
+                            if cls is Delay_:
+                                # Fused Delay reschedule: straight into the
+                                # destination bucket, no scheduler frames.
+                                when2 = now + target.ns
+                                if when2 == now:
+                                    bucket.append(what)
+                                    bucket.append(None)
+                                elif 0 <= when2 - base < slots:
+                                    index = when2 & mask
+                                    dest = wheel[index]
+                                    if dest is None:
+                                        dest = free.pop() if free else []
+                                        wheel[index] = dest
+                                        heappush(times, when2)
+                                    dest.append(what)
+                                    dest.append(None)
+                                else:
+                                    self._schedule_overflow(when2, what, None)
+                            elif cls is Charge_:
+                                # Fused Charge: its marker goes straight
+                                # into the destination bucket (the marker
+                                # re-queues the process behind the tick).
+                                when2 = now + target.ns
+                                if when2 == now:
+                                    bucket.append(wake)
+                                    bucket.append(what)
+                                elif 0 <= when2 - base < slots:
+                                    index = when2 & mask
+                                    dest = wheel[index]
+                                    if dest is None:
+                                        dest = free.pop() if free else []
+                                        wheel[index] = dest
+                                        heappush(times, when2)
+                                    dest.append(wake)
+                                    dest.append(what)
+                                else:
+                                    self._schedule_overflow(when2, wake, what)
+                            elif cls is Timeout_ or cls is Event_ or cls is Process_:
+                                if target._triggered:
+                                    # Next-tick delivery at the current
+                                    # time: the active bucket is exactly that.
+                                    bucket.append(what)
+                                    bucket.append(target._value)
+                                else:
+                                    target._callbacks.append(what)
+                            elif isinstance(target, Waitable):
+                                target._subscribe(what)
                             else:
-                                self._schedule_overflow(when2, what, None)
-                        elif cls is Timeout or cls is Event or cls is Process:
-                            if target._triggered:
-                                # Next-tick delivery at the current time:
-                                # the active bucket is exactly that.
-                                bucket.append(what)
-                                bucket.append(target._value)
-                            else:
-                                target._callbacks.append(what)
-                        elif isinstance(target, Waitable):
-                            target._subscribe(what)
+                                raise SimulationError(
+                                    f"process {what.name!r} yielded "
+                                    f"non-waitable {target!r}"
+                                )
+                        elif what is wake:
+                            bucket.append(value)
+                            bucket.append(None)
+                        elif cls is Timeout_ or cls is Event_:
+                            # Timeouts/Events are scheduled as themselves (no
+                            # per-schedule bound-method allocation) and
+                            # fired inline: Waitable._trigger, delivering
+                            # into the active bucket.
+                            if what._triggered:
+                                raise SimulationError("waitable triggered twice")
+                            what._triggered = True
+                            what._value = value
+                            for callback in what._callbacks:
+                                bucket.append(callback)
+                                bucket.append(value)
                         else:
-                            raise SimulationError(
-                                f"process {what.name!r} yielded "
-                                f"non-waitable {target!r}"
-                            )
-                    elif what.__class__ is Timeout or what.__class__ is Event:
-                        # Timeouts/Events are scheduled as themselves (no
-                        # per-schedule bound-method allocation).
-                        what._trigger(value)
-                    else:
-                        what(value)
-            finally:
-                self._active_pos = i
+                            what(value)
+                    continue
+                # The tick is drained: recycle its bucket, move to the next.
                 self.events_executed += (i - start) >> 1
+                i = start = 0
+                del bucket[:]
+                if len(free) < 1024:
+                    free.append(bucket)
+                if (
+                    times
+                    and times[0] <= limit
+                    and not (overflow_times and overflow_times[0] < times[0])
+                ):
+                    now = self.now = heappop(times)
+                    index = now & mask
+                    bucket = self._active = wheel[index]
+                    wheel[index] = None
+                else:
+                    self._active = None
+                    bucket = self._next_bucket(until)
+                    if bucket is None:
+                        break
+                    now = self.now
+                    base = self._base
+        finally:
+            self._active_pos = i
+            self.events_executed += (i - start) >> 1
         if until is not None and until > self.now:
             self.now = until
+
+    def _cancel_wakeups(self, process: Process) -> None:
+        """Drop every pending entry that would resume ``process``.
+
+        Only an interrupted process that survives the :class:`Interrupt`
+        calls this (the cost is paid on that path alone): the sleep it was
+        interrupted in — a ``Delay`` or ``Charge`` entry, or its
+        subscription to a ``Timeout`` (or a lock hand-off ``Event``)
+        waiting in a bucket — is still queued and would otherwise resume
+        it a second time.  Cancelled entries become no-ops in place, so
+        bucket cursors stay valid.
+        """
+        buckets = [self._wheel[when & _WHEEL_MASK] for when in self._wheel_times]
+        buckets.extend(self._overflow.values())
+        if self._active is not None:
+            buckets.append(self._active)
+        for bucket in buckets:
+            for j in range(0, len(bucket), 2):
+                what = bucket[j]
+                if what is process or (what is _wake and bucket[j + 1] is process):
+                    bucket[j] = _skip
+                    bucket[j + 1] = None
+                elif what.__class__ is Timeout or what.__class__ is Event:
+                    callbacks = what._callbacks
+                    while process in callbacks:
+                        callbacks.remove(process)
 
     def _run_budget(self, until: Optional[float], max_events: int) -> None:
         """The ``max_events``-bounded variant of :meth:`run` (slow path)."""

@@ -12,9 +12,17 @@ Figure 3, and the model below reproduces it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Dict
 
 from repro.sim.core import Event, SimulationError, Simulator, Waitable
+
+
+def _fired(sim: Simulator, value: Any) -> Event:
+    """An event that has already fired with ``value`` (nothing is
+    scheduled: it has no subscribers yet)."""
+    event = Event(sim)
+    event.fire(value)
+    return event
 
 
 class FifoLock:
@@ -42,6 +50,9 @@ class FifoLock:
         #: the holder did not identify itself)
         self.owner: Any = None
         self._waiters: Deque = deque()  # (Event, enqueue time, owner token)
+        #: what an uncontended ``acquire`` returns: one pre-triggered
+        #: ticket, reused (the process still resumes via the bucket tail)
+        self._granted = _fired(sim, self)
         # Statistics
         self.acquisitions = 0
         self.total_wait_ns = 0
@@ -56,15 +67,14 @@ class FifoLock:
         return len(self._waiters)
 
     def acquire(self, owner: Any = None) -> Waitable:
-        ticket = self._sim.event()
         if not self._locked and not self._waiters:
             self._locked = True
             self.owner = owner
             self.acquisitions += 1
-            ticket.fire(self)
-        else:
-            self._waiters.append((ticket, self._sim.now, owner))
-            self.max_queue_len = max(self.max_queue_len, len(self._waiters))
+            return self._granted
+        ticket = self._sim.event()
+        self._waiters.append((ticket, self._sim.now, owner))
+        self.max_queue_len = max(self.max_queue_len, len(self._waiters))
         return ticket
 
     def release(self, owner: Any = None) -> None:
@@ -143,6 +153,8 @@ class TokenBucket:
         self.name = name
         self._tokens = tokens
         self._waiters: Deque[Any] = deque()  # (amount, Event)
+        #: amount -> pre-triggered ticket (see :meth:`granted`)
+        self._grants: Dict[int, Event] = {}
 
     @property
     def tokens(self) -> int:
@@ -156,12 +168,22 @@ class TokenBucket:
         """Waitable that fires once ``amount`` tokens have been debited."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
-        ticket = self._sim.event()
         if not self._waiters and self._tokens - amount >= 0:
             self._tokens -= amount
-            ticket.fire(amount)
-        else:
-            self._waiters.append((amount, ticket))
+            return self.granted(amount)
+        ticket = self._sim.event()
+        self._waiters.append((amount, ticket))
+        return ticket
+
+    def granted(self, amount: int) -> Event:
+        """A pre-triggered ticket carrying ``amount``: what an immediately
+        satisfied :meth:`take` returns (and what callers that skip the
+        credit check hand out).  One shared instance per amount; a
+        process yielding it still resumes through the bucket tail, in the
+        same position a freshly fired ticket would give it."""
+        ticket = self._grants.get(amount)
+        if ticket is None:
+            ticket = self._grants[amount] = _fired(self._sim, amount)
         return ticket
 
     def try_take(self, amount: int = 1) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 _FNV_OFFSET_BASIS_64 = 0xCBF29CE484222325
 _FNV_PRIME_64 = 0x100000001B3
@@ -42,6 +42,10 @@ class UniformGenerator:
         return self._rng.randrange(self.item_count)
 
 
+#: (n, theta) -> zeta(n, theta); a handful of entries per process
+_ZETA_CACHE: Dict[Tuple[int, float], float] = {}
+
+
 class ZipfianGenerator:
     """Zipfian-distributed ranks in ``[0, item_count)`` with skew ``theta``.
 
@@ -70,8 +74,14 @@ class ZipfianGenerator:
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:
-        # O(n) but done once per generator; fine for the scaled datasets.
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        # O(n), so memoized per (n, theta): a point builds one generator
+        # per client stream, all over the same key space.
+        zeta = _ZETA_CACHE.get((n, theta))
+        if zeta is None:
+            zeta = _ZETA_CACHE[(n, theta)] = sum(
+                1.0 / (i ** theta) for i in range(1, n + 1)
+            )
+        return zeta
 
     def next(self) -> int:
         if self.theta == 0.0:

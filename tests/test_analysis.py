@@ -456,6 +456,24 @@ def test_sim003_broad_except_in_process_generator():
     assert lint_source(plain) == []
 
 
+def test_sim003_sees_a_charge_yielded_by_name():
+    """A CPU charge is yielded through a local name (``nap``), not as a
+    call: the function is still a process generator."""
+    src = (
+        "def post(thread):\n"
+        "    try:\n"
+        "        nap = thread.charge(5)\n"
+        "        if nap is not None:\n"
+        "            yield nap\n"
+        "    except Exception:\n"
+        "        pass\n"
+    )
+    assert _rules(lint_source(src)) == ["SIM003"]
+    # Yielding some other local name is not evidence of a process.
+    other = src.replace("yield nap", "yield item")
+    assert lint_source(other) == []
+
+
 def test_sim004_float_timestamp_equality():
     src = "def f(self, now):\n    return self.busy_until == now\n"
     assert _rules(lint_source(src)) == ["SIM004"]

@@ -74,6 +74,14 @@ class TestMicrobench:
         # A batch takes at least one RTT.
         assert result.batch_latency_p50_ns >= 2000
 
+    def test_sim_events_recorded_and_replayed(self):
+        kw = dict(policy="per-thread-qp", threads=4, depth=4,
+                  warmup_ns=0.05e6, measure_ns=0.2e6, seed=5)
+        first = run_microbench(**kw)
+        second = run_microbench(**kw)
+        assert first.sim_events > 0
+        assert first.sim_events == second.sim_events
+
     def test_write_op_supported(self):
         result = run_microbench(
             policy="per-thread-db", threads=2, depth=4, op="write",

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Delay, Event, Interrupt, Simulator
+from repro.sim import Charge, Delay, Event, Interrupt, Simulator
 from repro.sim.core import SimulationError
 
 
@@ -358,3 +358,111 @@ def test_all_of_all_already_triggered():
     p = sim.spawn(parent())
     sim.run()
     assert p.value == [0, 1, 2]
+
+
+# -- CPU charges and interrupted sleeps -----------------------------------------
+
+
+def _after_sleep_order(make_sleep):
+    """Order of a sleeper's resume vs. a callback scheduled for the same
+    tick *after* the sleep was (the tie a same-tick reorder would flip)."""
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        yield make_sleep(sim)
+        log.append("sleeper")
+
+    def scheduler():
+        sim.call_at(5, lambda: log.append("callback"))
+        yield sim.timeout(0)
+
+    sim.spawn(sleeper())
+    sim.spawn(scheduler())
+    sim.run()
+    return log, sim.events_executed
+
+
+def test_charge_resumes_where_a_timeout_would():
+    timeout_log, timeout_events = _after_sleep_order(lambda sim: sim.timeout(5))
+    charge_log, charge_events = _after_sleep_order(lambda sim: Charge(5))
+    assert charge_log == timeout_log == ["callback", "sleeper"]
+    assert charge_events == timeout_events
+    # A Delay resumes from its own entry: one event less, other order.
+    delay_log, delay_events = _after_sleep_order(lambda sim: sim.delay(5))
+    assert delay_log == ["sleeper", "callback"]
+    assert delay_events == timeout_events - 1
+
+
+def test_zero_charge_still_takes_the_timeout_round_trip():
+    log, _ = _after_sleep_order(lambda sim: Charge(0))
+    assert log == ["sleeper", "callback"]  # resumes at t=0, before t=5
+
+
+_SLEEPS = {
+    "timeout": lambda sim: sim.timeout(100),
+    "delay": lambda sim: sim.delay(100),
+    "charge": lambda sim: Charge(100),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SLEEPS))
+def test_caught_interrupt_cancels_the_interrupted_sleep(kind):
+    """Regression: a process that catches Interrupt and waits on something
+    else was resumed again, with None, when its old sleep ran out."""
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield _SLEEPS[kind](sim)
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+        value = yield sim.event()  # never fires
+        log.append(("woke", sim.now, value))
+
+    proc = sim.spawn(victim())
+    sim.call_at(10, proc.interrupt)
+    sim.run()
+    assert log == [("interrupted", 10)]
+    assert proc.alive
+
+
+@pytest.mark.parametrize("kind", sorted(_SLEEPS))
+def test_interrupted_process_wakes_once_from_its_new_wait(kind):
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield _SLEEPS[kind](sim)
+        except Interrupt:
+            pass
+        value = yield sim.timeout(150, "new")
+        log.append((sim.now, value))
+        yield sim.timeout(1000)
+        log.append((sim.now, "done"))
+
+    proc = sim.spawn(victim())
+    sim.call_at(10, proc.interrupt)
+    sim.run()
+    assert log == [(160, "new"), (1160, "done")]
+    assert not proc.alive
+
+
+def test_interrupt_that_ends_the_process_leaves_event_count_unchanged():
+    """The cancellation runs only when the process survives, so the stale
+    entry of a process the interrupt ends still executes (as a no-op
+    resume of a dead process) — the counts figure points rely on."""
+    sim = Simulator()
+
+    def victim():
+        yield sim.timeout(100)
+
+    proc = sim.spawn(victim())
+    sim.call_at(10, proc.interrupt)
+    sim.run()
+    assert not proc.alive
+    # spawn, interrupt callback, interrupt throw, timeout trigger,
+    # stale resume of the dead process
+    assert sim.events_executed == 5

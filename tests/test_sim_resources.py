@@ -228,3 +228,35 @@ def test_token_bucket_shrunk_pool_keeps_fifo_order():
     bucket.put(1)
     sim.run()
     assert order == ["big", "small"]
+
+
+def test_uncontended_grants_are_shared_pre_triggered_tickets():
+    sim = Simulator()
+    lock = FifoLock(sim)
+    first = lock.acquire()
+    assert first.triggered and first.value is lock
+    lock.release()
+    assert lock.acquire() is first
+    bucket = TokenBucket(sim, tokens=10)
+    ticket = bucket.take(2)
+    assert ticket.triggered and ticket.value == 2
+    assert bucket.take(2) is ticket is bucket.granted(2)
+    assert bucket.tokens == 6
+
+
+def test_pre_triggered_grant_resumes_at_the_bucket_tail():
+    """A granted ticket resumes its process behind everything already
+    queued for the tick, like the freshly fired ticket it replaces."""
+    sim = Simulator()
+    lock = FifoLock(sim)
+    log = []
+
+    def taker():
+        yield sim.timeout(5)
+        sim.call_at(5, lambda: log.append("queued first"))
+        yield lock.acquire()
+        log.append("granted")
+
+    sim.spawn(taker())
+    sim.run()
+    assert log == ["queued first", "granted"]

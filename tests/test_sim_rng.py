@@ -17,6 +17,18 @@ from repro.sim.rng import (
 )
 
 
+
+def test_zeta_is_memoized_per_key_space_and_skew():
+    from repro.sim import rng
+
+    first = ZipfianGenerator(3_001, theta=0.9, seed=1)
+    second = ZipfianGenerator(3_001, theta=0.9, seed=2)
+    assert rng._ZETA_CACHE[(3_001, 0.9)] == first._zeta_n == second._zeta_n
+    assert first._zeta_n == sum(1.0 / (i ** 0.9) for i in range(1, 3_002))
+    other = ZipfianGenerator(3_001, theta=0.5, seed=1)
+    assert other._zeta_n != first._zeta_n
+
+
 def test_uniform_bounds_and_coverage():
     gen = UniformGenerator(10, seed=1)
     samples = [gen.next() for _ in range(2000)]
