@@ -2,7 +2,8 @@
 
 Each point runs on a fixed seed and must reproduce, exactly, the kernel
 events it executed, its op count, its latency percentiles and its
-per-node RNIC counters as recorded at commit fe6eddc.  A hot-path change
+per-node RNIC counters as recorded at commit fe6eddc (the B+Tree and
+open-loop points at 736f0c6).  A hot-path change
 that executes the same bucket entries in the same order passes; one that
 reorders same-tick events (or adds/drops one) moves at least one of
 these numbers and fails here, before any golden table notices.
@@ -17,6 +18,7 @@ import pytest
 
 from repro import cluster as cluster_mod
 from repro.bench import microbench, runner
+from repro.traffic import OpenLoopResult, PoissonArrivals, Slo, TenantSpec, run_open_loop
 from repro.workloads import ycsb
 
 #: name -> entry point of one tiny point
@@ -44,6 +46,28 @@ POINTS = {
         policy="shared-qp", threads=8, depth=4, warmup_ns=0.05e6,
         measure_ns=0.2e6, seed=0, latency_samples=True,
     ),
+    # combined compute+memory servers, per-node lock tables, speculative cache
+    "smart-bt": lambda: runner.run_btree(
+        system="smart-bt", workload=ycsb.WRITE_HEAVY, threads=4, coroutines=4,
+        item_count=2000, warmup_ns=0.1e6, measure_ns=0.3e6, seed=2,
+    ),
+    # open loop: two tenants on shared threads, one shedding over its SLO
+    "open-hashtable": lambda: run_open_loop(
+        app="hashtable", tenants=[
+            TenantSpec("hot", PoissonArrivals(3.0), workers=4,
+                       slo=Slo(target_p99_ns=15e3, policy="shed")),
+            TenantSpec("cold", PoissonArrivals(0.5), workers=2),
+        ], threads=4, item_count=2000, warmup_ns=0.1e6, measure_ns=0.3e6,
+        seed=2,
+    ),
+    "open-dtx": lambda: run_open_loop(
+        app="dtx", benchmark="smallbank", rate_mops=0.4, workers=6, threads=4,
+        item_count=2000, warmup_ns=0.1e6, measure_ns=0.3e6, seed=1,
+    ),
+    "open-btree": lambda: run_open_loop(
+        app="btree", rate_mops=1.0, workers=6, threads=4, item_count=2000,
+        warmup_ns=0.1e6, measure_ns=0.3e6, seed=3,
+    ),
 }
 
 #: name -> ((kernel events, ops, p50 ns, p99 ns),
@@ -51,7 +75,8 @@ POINTS = {
 #:                    cqe_delivered),
 #:          sha256 prefix over every counter of every node)
 #: The microbench's ops are its measured WRs and its percentiles are
-#: batch latencies.
+#: batch latencies.  An open-loop point's head is (kernel events,
+#: per tenant (name, completed, shed, queue p99 ns)).
 EXPECTED = {
     "smart-ht": (
         (193543, 752, 4568, 22271),
@@ -78,6 +103,27 @@ EXPECTED = {
         [(412, 103, 0, 412), (0, 0, 412, 0)],
         "6fa1d0d4df3b28b9",
     ),
+    "smart-bt": (
+        (104421, 325, 10298, 33957),
+        [(7102, 7102, 7097, 7093)],
+        "4c00116b91887cbf",
+    ),
+    "open-hashtable": (
+        (91820, [("hot", 202, 679, 13777.246867516858),
+                 ("cold", 103, 0, 741455.2001894653)]),
+        [(9643, 6037, 0, 9638), (0, 0, 4712, 0), (0, 0, 4930, 0)],
+        "3445ddb06f199db9",
+    ),
+    "open-dtx": (
+        (86651, [("t0", 139, 0, 32768.0)]),
+        [(8714, 6400, 0, 8707), (0, 0, 4626, 0), (0, 0, 4087, 0)],
+        "27c13d61f13f55e4",
+    ),
+    "open-btree": (
+        (63121, [("t0", 184, 0, 920781.9326577964)]),
+        [(4159, 4159, 4155, 4155)],
+        "4cfca3b81f438c03",
+    ),
 }
 
 
@@ -92,7 +138,11 @@ def _run(name, monkeypatch):
     monkeypatch.setattr(cluster_mod.Cluster, "__init__", recording_init)
     result = POINTS[name]()
     cluster = clusters[-1]
-    if isinstance(result, microbench.MicrobenchResult):
+    if isinstance(result, OpenLoopResult):
+        head = (cluster.sim.events_executed,
+                [(t.tenant, t.completed, t.shed, t.queue_p99_ns)
+                 for t in result.tenants])
+    elif isinstance(result, microbench.MicrobenchResult):
         head = (cluster.sim.events_executed, result.measured_wrs,
                 result.batch_latency_p50_ns, result.batch_latency_p99_ns)
     else:
