@@ -99,6 +99,25 @@ def run_profiled(path: str, fn: Callable[[], int]) -> int:
               f"(inspect with: python -m pstats {path})")
 
 
+def list_arg(text, flag, cast, valid, rule):
+    """The values of a comma-separated list option (None when not given).
+
+    An empty or malformed list, or any value that fails ``valid``, exits
+    with status 2 and the one-line message "``flag`` values must be
+    ``rule``".
+    """
+    if text is None:
+        return None
+    try:
+        values = tuple(cast(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        values = ()
+    if values and all(valid(v) for v in values):
+        return values
+    print(f"{flag} values must be {rule}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -371,15 +390,10 @@ def _run_odp(args) -> int:
     from repro.bench.experiments import odp_sweep
     from repro.bench.report import write_experiment_json
 
-    ratios = None
-    if args.ratios:
-        ratios = tuple(float(r) for r in args.ratios.split(",") if r.strip())
-        if any(not 0.0 <= r <= 1.0 for r in ratios):
-            print("--ratios values must be in [0, 1]", file=sys.stderr)
-            return 2
-    depths = None
-    if args.depths:
-        depths = tuple(int(d) for d in args.depths.split(",") if d.strip())
+    ratios = list_arg(args.ratios, "--ratios", float,
+                      lambda r: 0.0 <= r <= 1.0, "in [0, 1]")
+    depths = list_arg(args.depths, "--depths", int, lambda d: d >= 1,
+                      "integers >= 1")
     jobs = args.jobs if args.jobs is not None else default_jobs()
     started = time.time()  # lint: disable=SIM001 (host wall clock)
     result = odp_sweep(
@@ -440,19 +454,12 @@ def _run_offload(args) -> int:
     from repro.bench.experiments import offload_sweep
     from repro.bench.report import write_experiment_json
 
-    skews = None
-    if args.skews:
-        skews = tuple(float(s) for s in args.skews.split(",") if s.strip())
-        if any(not 0.0 <= s < 1.0 for s in skews):
-            print("--skews values must be in [0, 1)", file=sys.stderr)
-            return 2
-    chunks = None
-    if args.chunks:
-        chunks = tuple(int(c) for c in args.chunks.split(",") if c.strip())
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    if any(m not in MODES for m in modes):
-        print(f"--modes values must be among {MODES}", file=sys.stderr)
-        return 2
+    skews = list_arg(args.skews, "--skews", float, lambda s: 0.0 <= s < 1.0,
+                     "in [0, 1)")
+    chunks = list_arg(args.chunks, "--chunks", int, lambda c: c >= 1,
+                      "integers >= 1")
+    modes = list_arg(args.modes, "--modes", str.strip, MODES.__contains__,
+                     f"among {MODES}")
     jobs = args.jobs if args.jobs is not None else default_jobs()
     started = time.time()  # lint: disable=SIM001 (host wall clock)
     result = offload_sweep(
@@ -517,7 +524,8 @@ def _run_traffic(args) -> int:
         from repro.bench.experiments import latency_throughput
         from repro.bench.report import write_experiment_json
 
-        rates = [float(r) for r in args.sweep.split(",") if r.strip()]
+        rates = list_arg(args.sweep, "--sweep", float, lambda r: r > 0,
+                         "positive rates in MOPS")
         result = latency_throughput(
             app=args.app, rates_mops=rates, threads=args.threads,
             workers=args.workers, item_count=args.item_count,

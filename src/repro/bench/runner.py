@@ -1,8 +1,12 @@
 """Application experiment runner.
 
-Builds a cluster, deploys an application (hash table / B+Tree / DTX),
-spawns client threads x coroutines, and measures throughput/latency over
-a warm window — the common skeleton behind Figures 5 and 7-12.
+Each SMART app (RACE hash table, FORD transactions, Sherman B+Tree) has
+one adapter here — the only code that knows its wiring: it builds and
+loads the deployment and server, and hands drivers op streams and
+per-client ``execute(op)`` functions.  Two drivers share the adapters:
+the closed loop below (client threads x coroutines measured over a warm
+window — the skeleton behind Figures 5 and 7-12) and the open loop of
+:mod:`repro.traffic.runner`.
 """
 
 from __future__ import annotations
@@ -11,13 +15,19 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.apps.ford.recovery import RecoveryManager
+from repro.apps.ford.server import DtxServer
+from repro.apps.ford.txn import TxnClient
 from repro.apps.race.client import HashTableClient
 from repro.apps.race.server import HashTableServer
+from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache
+from repro.apps.sherman.server import BTreeServer
 from repro.cluster import Cluster, Node
 from repro.core import OperationStats, SmartContext, SmartFeatures, SmartThread
 from repro.core.features import baseline, full
 from repro.rnic.config import RnicConfig, apply_feature_overrides
-from repro.workloads.ycsb import INSERT, READ, UPDATE, YcsbWorkload
+from repro.workloads import smallbank, tatp
+from repro.workloads.ycsb import READ, UPDATE, WRITE_HEAVY, YcsbWorkload
 
 #: Scaled-down adaptive-throttling epoch so the C_max search converges
 #: within millisecond-scale simulations (the paper's 8 ms Δ assumes
@@ -156,32 +166,6 @@ def install_faults(
     return FaultInjector(deployment.cluster, schedule).install()
 
 
-def apply_fault_stats(
-    result: RunResult,
-    stats: OperationStats,
-    deployment: Deployment,
-    injector=None,
-    recovery=None,
-) -> RunResult:
-    """Fill a result's fault/recovery columns from the run's artifacts."""
-    result.fault_aborts = stats.fault_aborts
-    result.recoveries = stats.recoveries
-    result.failed_recoveries = stats.failed_recoveries
-    result.avg_recovery_us = stats.avg_recovery_ns / 1e3
-    result.messages_dropped = deployment.cluster.fabric.messages_dropped
-    for node in deployment.cluster.nodes:
-        counters = node.device.counters
-        result.retransmissions += counters.retransmissions
-        result.error_completions += counters.error_completions
-        result.flushed_wrs += counters.flushed_wrs
-        result.wasted_wrs += counters.wasted_wrs
-    if injector is not None:
-        result.crashes = injector.crashes_fired
-    if recovery is not None:
-        result.rolled_back = recovery.rolled_back
-    return result
-
-
 def attach_sanitizer(sanitize, cluster):
     """Attach an RDMASan instance when ``sanitize`` is truthy.
 
@@ -235,56 +219,6 @@ def measure(
     return OperationStats.merge([s.stats for s in deployment.smart_threads])
 
 
-def collect_obs(
-    obs,
-    deployment: Deployment,
-    stats: OperationStats,
-    result: RunResult,
-    warmup_ns: float,
-    measure_ns: float,
-) -> RunResult:
-    """Post-run collection into an attached Observability (no-op on None)."""
-    if obs is None:
-        return result
-    warmup_ns = effective_warmup_ns(deployment.features, warmup_ns)
-    obs.phase("warmup", 0, warmup_ns)
-    obs.phase("measure", warmup_ns, warmup_ns + measure_ns)
-    obs.collect_cluster(deployment.cluster, window_ns=measure_ns)
-    obs.collect_stats(stats)
-    result.phase_breakdown = obs.phase_breakdown(deployment.cluster)
-    return result
-
-
-def result_from_stats(
-    stats: OperationStats,
-    system: str,
-    workload: str,
-    threads: int,
-    coroutines: int,
-    compute_blades: int,
-    measure_ns: float,
-    sim: Optional["object"] = None,
-) -> RunResult:
-    return RunResult(
-        sim_events=sim.events_executed if sim is not None else 0,
-        system=system,
-        workload=workload,
-        threads=threads,
-        coroutines=coroutines,
-        compute_blades=compute_blades,
-        throughput_mops=stats.ops / measure_ns * 1e3,
-        p50_latency_ns=stats.latency_percentile_ns(0.50),
-        p99_latency_ns=stats.latency_percentile_ns(0.99),
-        avg_retries=stats.avg_retries,
-        retry_distribution=stats.retry_distribution(),
-        ops=stats.ops,
-        measure_ns=measure_ns,
-    )
-
-
-# -- hash table experiments (Figures 5, 7, 8, 9) -------------------------------
-
-
 def load_hashtable_server(
     deployment: Deployment,
     item_count: int,
@@ -294,13 +228,14 @@ def load_hashtable_server(
     """Size and bulk-load a RACE hash table onto a deployment.
 
     Sizes the table for ~30% load so splits stay out of the measurement
-    window; a freak both-buckets-full collision during loading retries
-    with a doubled directory on a fresh deployment (``rebuild``).
+    window, with at least one segment per memory blade; a freak
+    both-buckets-full collision during loading retries with a doubled
+    directory on a fresh deployment (``rebuild``).
     Returns the (possibly rebuilt) deployment and the loaded server.
     """
     slots_needed = int(item_count / 0.30)
     buckets = 512
-    segments = 1
+    segments = 1 << (len(deployment.memory_nodes) - 1).bit_length()
     while segments * buckets * 7 < slots_needed:
         segments *= 2
     for _ in range(3):
@@ -317,6 +252,259 @@ def load_hashtable_server(
             segments *= 2
             deployment = rebuild()
     raise MemoryError("could not load the table even after resizing")
+
+
+# -- per-app adapters ----------------------------------------------------------
+
+
+def ycsb_execute(search, update, insert):
+    """``execute(op)`` for YCSB ``(kind, key, value)`` ops over one client.
+
+    It returns the client call's own generator, so a driver's
+    ``yield from execute(op)`` adds no generator frame per op.
+    """
+
+    def execute(op):
+        kind, key, value = op
+        if kind == READ:
+            return search(key)
+        if kind == UPDATE:
+            return update(key, value)
+        return insert(key, value)
+
+    return execute
+
+
+class AppAdapter:
+    """The one place that knows how a SMART app is wired.
+
+    Building an adapter builds and loads its deployment and server.  A
+    driver then asks it for each client's op stream (``stream``) and, as
+    the client starts, for an ``execute(op)`` bound to a fresh app client
+    on one SMART thread (``executor``).  :func:`_run_closed_loop` and
+    :func:`repro.traffic.runner.run_open_loop` drive the same adapters.
+    Constructors take the union of the apps' options and ignore the rest.
+    """
+
+    def __init__(self, deployment: Deployment, server, item_count: int):
+        self.deployment = deployment
+        #: declares the app's sanitizer regions
+        self.server = server
+        self.item_count = item_count
+
+    def stream(self, workload, seed: int):
+        """One client's YCSB op stream (``None`` is write-heavy)."""
+        return (workload or WRITE_HEAVY).stream(self.item_count, seed)
+
+    def executor(self, smart: SmartThread, workload):
+        raise NotImplementedError
+
+    def wire_recovery(self, injector):
+        """Hand crash recovery the app's state; returns its manager."""
+        return None
+
+
+class HashTableApp(AppAdapter):
+    """RACE hashing (Figures 5, 7, 8, 9)."""
+
+    def __init__(self, system, threads, item_count, seed, features=None,
+                 config=None, compute_blades=1, memory_blades=2, **_):
+        if features is None:
+            features = SYSTEM_FEATURES[system]()
+
+        def build():
+            return build_deployment(
+                features, threads, compute_blades, memory_blades, config, seed
+            )
+
+        deployment, server = load_hashtable_server(build(), item_count, seed, build)
+        super().__init__(deployment, server, item_count)
+        self.meta = server.meta()
+
+    def executor(self, smart, workload):
+        client = HashTableClient(smart.handle(), self.meta)
+        return ycsb_execute(client.search, client.update, client.insert)
+
+
+class DtxApp(AppAdapter):
+    """FORD transactions (Figures 10, 11); a workload names a benchmark.
+
+    A benchmark's tables are created when a stream first asks for it, so
+    a run populates only the benchmarks its clients use.
+    """
+
+    BENCHMARKS = {"smallbank": smallbank, "tatp": tatp}
+
+    def __init__(self, system, threads, item_count, seed, features=None,
+                 config=None, compute_blades=1, memory_blades=2,
+                 benchmark="smallbank", **_):
+        if features is None:
+            features = SYSTEM_FEATURES[system]()
+        deployment = build_deployment(
+            features, threads, compute_blades, memory_blades, config, seed
+        )
+        server = DtxServer(deployment.memory_nodes, replicas=min(2, memory_blades))
+        super().__init__(deployment, server, item_count)
+        self.benchmark = benchmark
+        self.tables: Dict = {}
+        #: every client's NVM undo-log ring, replayed by crash recovery
+        self.log_rings: List = []
+
+    def _bench(self, workload):
+        name = workload or self.benchmark
+        if name not in self.BENCHMARKS:
+            raise ValueError(f"benchmark must be smallbank or tatp, got {name!r}")
+        module = self.BENCHMARKS[name]
+        if name not in self.tables:
+            self.tables[name] = module.setup(self.server, self.item_count)
+        return module, self.tables[name]
+
+    def stream(self, workload, seed):
+        module, _ = self._bench(workload)
+        return module.transaction_stream(self.item_count, seed)
+
+    def executor(self, smart, workload):
+        module, tables = self._bench(workload)
+        run_profile = module.run_profile
+        ring = self.server.alloc_log_ring()
+        self.log_rings.append(ring)
+        client = TxnClient(smart.handle(), ring)
+
+        def execute(op):
+            profile, first, second = op
+            return client.run(
+                lambda txn: run_profile(txn, tables, profile, first, second)
+            )
+
+        return execute
+
+    def wire_recovery(self, injector):
+        recovery = RecoveryManager(self.server)
+        injector.wire_ford_recovery(recovery, self.log_rings)
+        return recovery
+
+
+class BTreeApp(AppAdapter):
+    """Sherman's B+Tree (Figure 12).
+
+    Every server is both a memory blade and a compute blade; the SMART
+    threads of one server share its index cache, local lock table and
+    speculative-lookup cache.
+    """
+
+    def __init__(self, system, threads, item_count, seed, features=None,
+                 config=None, servers=1, speculative=None,
+                 client_cpu_ns=2000.0, hopl=True, **_):
+        if features is None:
+            base = {"sherman": "sherman", "sherman-sl": "sherman", "smart-bt": "smart-bt"}
+            features = SYSTEM_FEATURES[base[system]]()
+        if speculative is None:
+            speculative = system in ("sherman-sl", "smart-bt")
+        features = bench_features(features)
+        cluster = Cluster(config)
+        nodes = cluster.add_nodes(servers)
+        server = BTreeServer(nodes, heap_bytes_per_blade=max(16 << 20, item_count * 64))
+        rng = random.Random(seed)
+        server.bulk_load([(k, rng.getrandbits(32)) for k in range(item_count)])
+        self.meta = server.meta()
+        self.client_cpu_ns = client_cpu_ns
+        #: SMART thread -> its server's (index cache, locks, speculative cache)
+        self.shared: Dict[SmartThread, tuple] = {}
+        for blade_index, node in enumerate(nodes):
+            node.add_threads(threads)
+            SmartContext(node, nodes, features)
+            shared = ({}, LocalLockTable(cluster.sim, use_local_queues=hopl),
+                      SpeculativeCache() if speculative else None)
+            for thread in node.threads:
+                smart = SmartThread(thread, features, seed=seed + blade_index * 1000)
+                self.shared[smart] = shared
+        deployment = Deployment(cluster, nodes, nodes, list(self.shared), features)
+        super().__init__(deployment, server, item_count)
+
+    def executor(self, smart, workload):
+        index_cache, locks, spec_cache = self.shared[smart]
+        client = BTreeClient(
+            smart.handle(), self.meta, index_cache, locks, spec_cache=spec_cache,
+            client_cpu_ns=self.client_cpu_ns,
+        )
+        return ycsb_execute(client.lookup, client.update, client.insert)
+
+
+#: app name -> adapter
+APPS = {"hashtable": HashTableApp, "dtx": DtxApp, "btree": BTreeApp}
+
+
+# -- the closed-loop driver ----------------------------------------------------
+
+
+def _client_loop(executor, smart, workload, stream, gap):
+    execute = executor(smart, workload)
+    for op in stream:
+        yield from execute(op)
+        if gap is not None:
+            yield gap
+
+
+def _run_closed_loop(app: AppAdapter, system, workload, label, threads,
+                     coroutines, blades, warmup_ns, measure_ns, seed,
+                     throttle_gap_ns, faults, fault_seed, obs,
+                     sanitize) -> RunResult:
+    """``coroutines`` clients per SMART thread, each issuing its next op
+    when the last completes (after ``throttle_gap_ns`` of idle time).
+    The result is labelled ``label`` with ``blades`` compute blades."""
+    deployment = app.deployment
+    cluster = deployment.cluster
+    sim = cluster.sim
+    seeds = random.Random(seed)
+    clients = [(smart, app.stream(workload, seeds.getrandbits(31)))
+               for smart in deployment.smart_threads for _ in range(coroutines)]
+    injector = install_faults(deployment, faults, fault_seed, warmup_ns, measure_ns)
+    recovery = app.wire_recovery(injector) if injector is not None else None
+    if obs is not None:
+        obs.attach_deployment(deployment)
+    sanitizer = attach_sanitizer(sanitize, cluster)
+    if sanitizer is not None:
+        app.server.declare_sanitizer_regions(sanitizer)
+    # One reusable pure-delay object serves every coroutine's gap sleeps
+    # (the kernel's cheap Timeout alternative for fire-and-forget waits).
+    gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
+    # Process handles, so a client's failure stays inspectable.
+    processes = [sim.spawn(_client_loop(app.executor, smart, workload, stream, gap))
+                 for smart, stream in clients]
+
+    stats = measure(deployment, warmup_ns, measure_ns)
+    result = RunResult(
+        system=system, workload=label, threads=threads, coroutines=coroutines,
+        compute_blades=blades, throughput_mops=stats.ops / measure_ns * 1e3,
+        p50_latency_ns=stats.latency_percentile_ns(0.50),
+        p99_latency_ns=stats.latency_percentile_ns(0.99),
+        avg_retries=stats.avg_retries,
+        retry_distribution=stats.retry_distribution(),
+        ops=stats.ops, measure_ns=measure_ns, sim_events=sim.events_executed,
+        fault_aborts=stats.fault_aborts, recoveries=stats.recoveries,
+        failed_recoveries=stats.failed_recoveries,
+        avg_recovery_us=stats.avg_recovery_ns / 1e3,
+        messages_dropped=cluster.fabric.messages_dropped,
+        crashes=injector.crashes_fired if injector is not None else 0,
+        rolled_back=recovery.rolled_back if recovery is not None else 0,
+    )
+    for node in cluster.nodes:
+        counters = node.device.counters
+        result.retransmissions += counters.retransmissions
+        result.error_completions += counters.error_completions
+        result.flushed_wrs += counters.flushed_wrs
+        result.wasted_wrs += counters.wasted_wrs
+    if obs is not None:
+        warm = effective_warmup_ns(deployment.features, warmup_ns)
+        obs.phase("warmup", 0, warm)
+        obs.phase("measure", warm, warm + measure_ns)
+        obs.collect_cluster(cluster, window_ns=measure_ns)
+        obs.collect_stats(stats)
+        result.phase_breakdown = obs.phase_breakdown(cluster)
+    return collect_sanitizer(sanitizer, result)
+
+
+# -- the figure entry points ---------------------------------------------------
 
 
 def run_hashtable(
@@ -351,68 +539,15 @@ def run_hashtable(
     ``pinned_ratio``/``merge_wrs``/``adaptive_poll`` override the
     matching :class:`RnicConfig` knobs (ODP + doorbell batching axes).
     """
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    config = apply_feature_overrides(
-        config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
-        adaptive_poll=adaptive_poll,
-    )
+    config = apply_feature_overrides(config, pinned_ratio, merge_wrs, adaptive_poll)
     workload = workload or WRITE_HEAVY
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
+    app = HashTableApp(system, threads, item_count, seed, features, config,
+                       compute_blades, memory_blades)
+    return _run_closed_loop(
+        app, system, workload, workload.name, threads, coroutines,
+        compute_blades, warmup_ns, measure_ns, seed, throttle_gap_ns, faults,
+        fault_seed, obs, sanitize,
     )
-
-    deployment, server = load_hashtable_server(
-        deployment, item_count, seed,
-        rebuild=lambda: build_deployment(
-            features, threads, compute_blades, memory_blades, config, seed
-        ),
-    )
-    meta = server.meta()
-
-    injector = install_faults(deployment, faults, fault_seed, warmup_ns, measure_ns)
-    if obs is not None:
-        obs.attach_deployment(deployment)
-    sanitizer = attach_sanitizer(sanitize, deployment.cluster)
-    if sanitizer is not None:
-        server.declare_sanitizer_regions(sanitizer)
-    sim = deployment.cluster.sim
-    # One reusable pure-delay object serves every coroutine's gap sleeps
-    # (the kernel's cheap Timeout alternative for fire-and-forget waits).
-    gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
-
-    def client_coroutine(smart: SmartThread, stream):
-        client = HashTableClient(smart.handle(), meta)
-        for op, key, value in stream:
-            if op == READ:
-                yield from client.search(key)
-            elif op == UPDATE:
-                yield from client.update(key, value)
-            elif op == INSERT:
-                yield from client.insert(key, value)
-            if gap is not None:
-                yield gap
-
-    stream_seed = random.Random(seed)
-    clients = []
-    for smart in deployment.smart_threads:
-        for _ in range(coroutines):
-            stream = workload.stream(item_count, stream_seed.getrandbits(31))
-            clients.append(sim.spawn(client_coroutine(smart, stream)))
-
-    stats = measure(deployment, warmup_ns, measure_ns)
-    result = result_from_stats(
-        stats, system, workload.name, threads, coroutines, compute_blades,
-        measure_ns, sim=sim,
-    )
-    apply_fault_stats(result, stats, deployment, injector)
-    result = collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
-    return collect_sanitizer(sanitizer, result)
-
-
-# -- distributed transaction experiments (Figures 10, 11) ---------------------
 
 
 def run_dtx(
@@ -446,91 +581,14 @@ def run_dtx(
     ``pinned_ratio``/``merge_wrs``/``adaptive_poll`` override the
     matching :class:`RnicConfig` knobs (ODP + doorbell batching axes).
     """
-    from repro.apps.ford.server import DtxServer
-    from repro.apps.ford.txn import TxnClient
-    from repro.workloads import smallbank as sb
-    from repro.workloads import tatp as tp
-
-    config = apply_feature_overrides(
-        config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
-        adaptive_poll=adaptive_poll,
+    config = apply_feature_overrides(config, pinned_ratio, merge_wrs, adaptive_poll)
+    app = DtxApp(system, threads, item_count, seed, features, config,
+                 compute_blades, memory_blades, benchmark)
+    return _run_closed_loop(
+        app, system, benchmark, benchmark, threads, coroutines, compute_blades,
+        warmup_ns, measure_ns, seed, throttle_gap_ns, faults, fault_seed, obs,
+        sanitize,
     )
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
-    server = DtxServer(deployment.memory_nodes, replicas=min(2, memory_blades))
-    if benchmark == "smallbank":
-        tables = sb.setup(server, accounts=item_count)
-    elif benchmark == "tatp":
-        tables = tp.setup(server, subscribers=item_count)
-    else:
-        raise ValueError(f"benchmark must be smallbank or tatp, got {benchmark!r}")
-
-    injector = install_faults(deployment, faults, fault_seed, warmup_ns, measure_ns)
-    recovery = None
-    log_rings: List = []
-    if injector is not None:
-        from repro.apps.ford.recovery import RecoveryManager
-
-        recovery = RecoveryManager(server)
-        injector.wire_ford_recovery(recovery, log_rings)
-
-    if obs is not None:
-        obs.attach_deployment(deployment)
-    sanitizer = attach_sanitizer(sanitize, deployment.cluster)
-    if sanitizer is not None:
-        server.declare_sanitizer_regions(sanitizer)
-    sim = deployment.cluster.sim
-    stream_seed = random.Random(seed)
-    gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
-
-    def client_coroutine(smart: SmartThread, seed_value: int):
-        ring = server.alloc_log_ring()
-        log_rings.append(ring)
-        client = TxnClient(smart.handle(), ring)
-        if benchmark == "smallbank":
-            stream = sb.transaction_stream(item_count, seed_value)
-            while True:
-                profile, accounts, amount = next(stream)
-                yield from client.run(
-                    lambda txn, p=profile, a=accounts, m=amount: sb.run_profile(
-                        txn, tables, p, a, m
-                    )
-                )
-                if gap is not None:
-                    yield gap
-        else:
-            stream = tp.transaction_stream(item_count, seed_value)
-            while True:
-                profile, sub, aux = next(stream)
-                yield from client.run(
-                    lambda txn, p=profile, s=sub, x=aux: tp.run_profile(
-                        txn, tables, p, s, x
-                    )
-                )
-                if gap is not None:
-                    yield gap
-
-    clients = []
-    for smart in deployment.smart_threads:
-        for _ in range(coroutines):
-            clients.append(
-                sim.spawn(client_coroutine(smart, stream_seed.getrandbits(31)))
-            )
-
-    stats = measure(deployment, warmup_ns, measure_ns)
-    result = result_from_stats(
-        stats, system, benchmark, threads, coroutines, compute_blades,
-        measure_ns, sim=sim,
-    )
-    apply_fault_stats(result, stats, deployment, injector, recovery)
-    result = collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
-    return collect_sanitizer(sanitizer, result)
-
-
-# -- B+Tree experiments (Figure 12) --------------------------------------------
 
 
 def run_btree(
@@ -564,82 +622,12 @@ def run_btree(
     remote CAS spinlocks (the §3.3 behaviour HOPL avoids) — used by the
     HOPL ablation bench.
     """
-    from repro.apps.sherman.client import BTreeClient, LocalLockTable, SpeculativeCache
-    from repro.apps.sherman.server import BTreeServer
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    config = apply_feature_overrides(
-        config, pinned_ratio=pinned_ratio, merge_wrs=merge_wrs,
-        adaptive_poll=adaptive_poll,
-    )
+    config = apply_feature_overrides(config, pinned_ratio, merge_wrs, adaptive_poll)
     workload = workload or WRITE_HEAVY
-    if features is None:
-        base = {"sherman": "sherman", "sherman-sl": "sherman", "smart-bt": "smart-bt"}
-        features = SYSTEM_FEATURES[base[system]]()
-    if speculative is None:
-        speculative = system in ("sherman-sl", "smart-bt")
-    features = bench_features(features)
-
-    cluster = Cluster(config)
-    nodes = cluster.add_nodes(servers)
-    server = BTreeServer(nodes, heap_bytes_per_blade=max(16 << 20, item_count * 64))
-    rng = random.Random(seed)
-    server.bulk_load([(k, rng.getrandbits(32)) for k in range(item_count)])
-    meta = server.meta()
-    sanitizer = attach_sanitizer(sanitize, cluster)
-    if sanitizer is not None:
-        server.declare_sanitizer_regions(sanitizer)
-
-    smart_threads: List[SmartThread] = []
-    clients_per_node = []
-    for blade_index, node in enumerate(nodes):
-        node.add_threads(threads)
-        SmartContext(node, nodes, features)
-        index_cache: Dict = {}
-        locks = LocalLockTable(cluster.sim, use_local_queues=hopl)
-        spec = SpeculativeCache() if speculative else None
-        node_threads = []
-        for thread in node.threads:
-            smart = SmartThread(thread, features, seed=seed + blade_index * 1000)
-            smart_threads.append(smart)
-            node_threads.append((smart, index_cache, locks, spec))
-        clients_per_node.append(node_threads)
-
-    sim = cluster.sim
-    stream_seed = random.Random(seed)
-    gap = sim.delay(throttle_gap_ns) if throttle_gap_ns > 0 else None
-
-    def client_coroutine(smart, index_cache, locks, spec, stream):
-        client = BTreeClient(
-            smart.handle(), meta, index_cache, locks, spec_cache=spec,
-            client_cpu_ns=client_cpu_ns,
-        )
-        for op, key, value in stream:
-            if op == READ:
-                yield from client.lookup(key)
-            elif op == UPDATE:
-                yield from client.update(key, value)
-            elif op == INSERT:
-                yield from client.insert(key, value)
-            if gap is not None:
-                yield gap
-
-    clients = []
-    for node_threads in clients_per_node:
-        for smart, index_cache, locks, spec in node_threads:
-            for _ in range(coroutines):
-                stream = workload.stream(item_count, stream_seed.getrandbits(31))
-                clients.append(
-                    sim.spawn(client_coroutine(smart, index_cache, locks, spec, stream))
-                )
-
-    deployment = Deployment(cluster, nodes, nodes, smart_threads, features)
-    if obs is not None:
-        obs.attach_deployment(deployment)
-    stats = measure(deployment, warmup_ns, measure_ns)
-    result = result_from_stats(
-        stats, system, workload.name, threads, coroutines, servers,
-        measure_ns, sim=sim,
+    app = BTreeApp(system, threads, item_count, seed, features, config,
+                   servers=servers, speculative=speculative,
+                   client_cpu_ns=client_cpu_ns, hopl=hopl)
+    return _run_closed_loop(
+        app, system, workload, workload.name, threads, coroutines, servers,
+        warmup_ns, measure_ns, seed, throttle_gap_ns, None, 0, obs, sanitize,
     )
-    result = collect_obs(obs, deployment, stats, result, warmup_ns, measure_ns)
-    return collect_sanitizer(sanitizer, result)

@@ -38,15 +38,15 @@ from repro.apps.sharded import (
 )
 from repro.bench.runner import (
     SYSTEM_FEATURES,
+    AppAdapter,
     build_deployment,
-    effective_warmup_ns,
+    ycsb_execute,
 )
 from repro.memory.elastic import Autoscaler
 from repro.obs.metrics import LogHistogram
-from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.engine import OpenLoopEngine
-from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
-from repro.workloads.ycsb import INSERT, READ, UPDATE
+from repro.traffic.runner import add_tenants, default_tenants, warm_up
+from repro.traffic.tenant import Slo, TenantSpec
 
 PHASES = ("before", "during", "after")
 MODES = ("add_blade", "drain", "autoscale")
@@ -144,16 +144,25 @@ class _Snapshot:
         self.queue_hist = state.stats.queue_delay_hist.copy()
 
 
-def _phase_rows(phase: str, states, snapshots) -> List[PhaseStats]:
+def _phase_rows(phase: str, states, snapshots=None) -> List[PhaseStats]:
+    """One row per tenant since ``snapshots`` (None: since the window
+    reset, where every stat restarted from zero)."""
     rows = []
-    for state, snap in zip(states, snapshots):
-        window = state.stats.queue_delay_hist.delta(snap.queue_hist)
+    for index, state in enumerate(states):
+        stats = state.stats
+        window = stats.queue_delay_hist
+        ops, shed, deferred = stats.ops, stats.shed, stats.deferred
+        if snapshots is not None:
+            snap = snapshots[index]
+            window = window.delta(snap.queue_hist)
+            ops, shed = ops - snap.ops, shed - snap.shed
+            deferred -= snap.deferred
         rows.append(PhaseStats(
             tenant=state.spec.name,
             phase=phase,
-            completed=state.stats.ops - snap.ops,
-            shed=state.stats.shed - snap.shed,
-            deferred=state.stats.deferred - snap.deferred,
+            completed=ops,
+            shed=shed,
+            deferred=deferred,
             queue_p50_ns=window.percentile(0.50),
             queue_p99_ns=window.percentile(0.99),
             queue_mean_ns=window.mean,
@@ -208,27 +217,11 @@ def run_resharding(
     if obs is not None:
         obs.attach_deployment(deployment)
 
-    # -- tenants -----------------------------------------------------------
-    if tenants is None:
-        tenants = [TenantSpec(
-            "t0", PoissonArrivals(rate_mops), slo=slo or NO_SLO, workers=workers,
-        )]
-    from repro.workloads.ycsb import WRITE_HEAVY
-
     engine = OpenLoopEngine(sim, seed=seed)
-    seeder = random.Random(seed)
-    worker_index = 0
-    for spec in tenants:
-        workload = spec.workload or WRITE_HEAVY
-        stream = workload.stream(item_count, seeder.getrandbits(31))
-        executors = []
-        for _ in range(spec.workers):
-            smart = deployment.smart_threads[
-                worker_index % len(deployment.smart_threads)
-            ]
-            executors.append(_executor_factory(service, smart))
-            worker_index += 1
-        engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
+    add_tenants(
+        engine, default_tenants(tenants, rate_mops, None, slo, workers),
+        _ShardedApp(deployment, service, item_count), seed,
+    )
 
     # -- migration machinery -----------------------------------------------
     alloc_hist = LogHistogram()
@@ -277,18 +270,13 @@ def run_resharding(
         )
 
     # -- timeline ----------------------------------------------------------
-    warm = effective_warmup_ns(deployment.features, warmup_ns)
-    sim.run(until=warm)
-    for smart in deployment.smart_threads:
-        smart.stats.reset()
-    engine.reset_window()
-
+    warm = warm_up(deployment, engine, warmup_ns)
     states = engine.tenants
     boundaries = [warm + i * phase_ns for i in range(1, 4)]
 
     sim.run(until=boundaries[0])
     snaps = [_Snapshot(s) for s in states]
-    result.phases.extend(_phase_rows_from_zero(states))
+    result.phases.extend(_phase_rows("before", states))
 
     if mode == "autoscale":
         migrator_process = sim.spawn(autoscaler.run(), name="autoscaler")
@@ -351,37 +339,10 @@ def run_resharding(
     return result
 
 
-def _phase_rows_from_zero(states) -> List[PhaseStats]:
-    """Rows for the first phase (baseline is the window reset)."""
-    rows = []
-    for state in states:
-        hist = state.stats.queue_delay_hist
-        rows.append(PhaseStats(
-            tenant=state.spec.name,
-            phase="before",
-            completed=state.stats.ops,
-            shed=state.stats.shed,
-            deferred=state.stats.deferred,
-            queue_p50_ns=hist.percentile(0.50),
-            queue_p99_ns=hist.percentile(0.99),
-            queue_mean_ns=hist.mean,
-        ))
-    return rows
+class _ShardedApp(AppAdapter):
+    """The sharded RACE table as an app: YCSB ops through a shard-routing
+    client."""
 
-
-def _executor_factory(service: ShardedHashTableService, smart):
-    def factory():
-        client = ShardedHashTableClient(service, smart.handle())
-
-        def execute(item):
-            op, key, value = item
-            if op == READ:
-                yield from client.search(key)
-            elif op == UPDATE:
-                yield from client.update(key, value)
-            elif op == INSERT:
-                yield from client.insert(key, value)
-
-        return execute
-
-    return factory
+    def executor(self, smart, workload):
+        client = ShardedHashTableClient(self.server, smart.handle())
+        return ycsb_execute(client.search, client.update, client.insert)

@@ -1,10 +1,11 @@
-"""Open-loop experiment runner for the three SMART applications.
+"""Open-loop driver for the three SMART applications.
 
-Mirrors :mod:`repro.bench.runner` — same deployments, same app servers
-and clients, same warmup/measure discipline — but drives the clients
-from an :class:`OpenLoopEngine` instead of closed client loops, so
-offered load is independent of service progress and queueing delay is
-measured rather than omitted.
+It drives the app adapters of :mod:`repro.bench.runner` (the same ones
+its closed loop uses) from an :class:`OpenLoopEngine`: every tenant's
+arrivals are queued and served by workers spread over the deployment's
+SMART threads, so offered load is independent of service progress and
+queueing delay is measured rather than omitted.  This module knows no
+app; :mod:`repro.traffic.resharding` reuses its tenant wiring.
 
 ``run_open_loop`` is registered with :mod:`repro.bench.parallel`, so
 every argument (including :class:`TenantSpec` and its arrival process /
@@ -15,20 +16,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from functools import partial
+from typing import List, Optional
 
-from repro.bench.runner import (
-    SYSTEM_FEATURES,
-    Deployment,
-    build_deployment,
-    effective_warmup_ns,
-    load_hashtable_server,
-)
+from repro.bench.runner import APPS, effective_warmup_ns
 from repro.core import OperationStats
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.engine import OpenLoopEngine
 from repro.traffic.tenant import NO_SLO, Slo, TenantSpec
-from repro.workloads.ycsb import INSERT, READ, UPDATE
 
 #: default system per app (mirrors the closed-loop runners)
 DEFAULT_SYSTEMS = {"hashtable": "smart-ht", "dtx": "smart-dtx", "btree": "smart-bt"}
@@ -125,189 +120,40 @@ def _tenant_result(state, measure_ns: float) -> TenantResult:
     )
 
 
-# -- per-app wiring ------------------------------------------------------------
+def add_tenants(engine: OpenLoopEngine, tenants: List[TenantSpec], app,
+                seed: int) -> None:
+    """Give each tenant an op stream and workers from ``app`` (an
+    :class:`repro.bench.runner.AppAdapter`), the workers spread
+    round-robin over the app's SMART threads."""
+    smart_threads = app.deployment.smart_threads
+    seeder = random.Random(seed)
+    worker_index = 0
+    for spec in tenants:
+        stream = app.stream(spec.workload, seeder.getrandbits(31))
+        executors = []
+        for _ in range(spec.workers):
+            smart = smart_threads[worker_index % len(smart_threads)]
+            executors.append(partial(app.executor, smart, spec.workload))
+            worker_index += 1
+        engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
 
 
-def _setup_hashtable(system, threads, compute_blades, memory_blades, servers,
-                     item_count, features, config, seed, client_cpu_ns):
-    from repro.apps.race.client import HashTableClient
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
-    deployment, server = load_hashtable_server(
-        deployment, item_count, seed,
-        rebuild=lambda: build_deployment(
-            features, threads, compute_blades, memory_blades, config, seed
-        ),
-    )
-    meta = server.meta()
-
-    def stream_for(spec: TenantSpec, stream_seed: int):
-        workload = spec.workload or WRITE_HEAVY
-        return workload.stream(item_count, stream_seed)
-
-    def executor_for(spec: TenantSpec, smart):
-        def factory():
-            client = HashTableClient(smart.handle(), meta)
-
-            def execute(item):
-                op, key, value = item
-                if op == READ:
-                    yield from client.search(key)
-                elif op == UPDATE:
-                    yield from client.update(key, value)
-                elif op == INSERT:
-                    yield from client.insert(key, value)
-
-            return execute
-
-        return factory
-
-    return deployment, stream_for, executor_for
+def default_tenants(tenants, rate_mops: float, arrivals, slo, workers: int):
+    """``tenants``, or one tenant "t0" (Poisson unless ``arrivals`` is set)."""
+    if tenants is not None:
+        return tenants
+    return [TenantSpec("t0", arrivals or PoissonArrivals(rate_mops),
+                       slo=slo or NO_SLO, workers=workers)]
 
 
-def _setup_dtx(system, threads, compute_blades, memory_blades, servers,
-               item_count, features, config, seed, client_cpu_ns,
-               benchmark="smallbank"):
-    from repro.apps.ford.server import DtxServer
-    from repro.apps.ford.txn import TxnClient
-    from repro.workloads import smallbank as sb
-    from repro.workloads import tatp as tp
-
-    if features is None:
-        features = SYSTEM_FEATURES[system]()
-    deployment = build_deployment(
-        features, threads, compute_blades, memory_blades, config, seed
-    )
-    server = DtxServer(deployment.memory_nodes, replicas=min(2, memory_blades))
-    tables = {}
-    benchmarks = {spec_bench for spec_bench in ("smallbank", "tatp")}
-
-    def bench_of(spec: TenantSpec) -> str:
-        bench = spec.workload or benchmark
-        if bench not in benchmarks:
-            raise ValueError(f"DTX workload must be smallbank or tatp, got {bench!r}")
-        return bench
-
-    def tables_of(bench: str):
-        # Lazy so a run only populates the benchmarks its tenants use.
-        if bench not in tables:
-            setup = sb.setup if bench == "smallbank" else tp.setup
-            kwargs = ({"accounts": item_count} if bench == "smallbank"
-                      else {"subscribers": item_count})
-            tables[bench] = setup(server, **kwargs)
-        return tables[bench]
-
-    def stream_for(spec: TenantSpec, stream_seed: int):
-        bench = bench_of(spec)
-        tables_of(bench)
-        module = sb if bench == "smallbank" else tp
-        return module.transaction_stream(item_count, stream_seed)
-
-    def executor_for(spec: TenantSpec, smart):
-        bench = bench_of(spec)
-
-        def factory():
-            client = TxnClient(smart.handle(), server.alloc_log_ring())
-            bench_tables = tables_of(bench)
-            if bench == "smallbank":
-                def execute(item):
-                    profile, accounts, amount = item
-                    yield from client.run(
-                        lambda txn, p=profile, a=accounts, m=amount:
-                        sb.run_profile(txn, bench_tables, p, a, m)
-                    )
-            else:
-                def execute(item):
-                    profile, sub, aux = item
-                    yield from client.run(
-                        lambda txn, p=profile, s=sub, x=aux:
-                        tp.run_profile(txn, bench_tables, p, s, x)
-                    )
-            return execute
-
-        return factory
-
-    return deployment, stream_for, executor_for
-
-
-def _setup_btree(system, threads, compute_blades, memory_blades, servers,
-                 item_count, features, config, seed, client_cpu_ns):
-    from repro.apps.sherman.client import (
-        BTreeClient, LocalLockTable, SpeculativeCache,
-    )
-    from repro.apps.sherman.server import BTreeServer
-    from repro.cluster import Cluster
-    from repro.core import SmartContext, SmartThread
-    from repro.workloads.ycsb import WRITE_HEAVY
-
-    if features is None:
-        base = {"sherman": "sherman", "sherman-sl": "sherman", "smart-bt": "smart-bt"}
-        features = SYSTEM_FEATURES[base[system]]()
-    speculative = system in ("sherman-sl", "smart-bt")
-    from repro.bench.runner import bench_features
-
-    features = bench_features(features)
-    cluster = Cluster(config)
-    nodes = cluster.add_nodes(servers)
-    server = BTreeServer(nodes, heap_bytes_per_blade=max(16 << 20, item_count * 64))
-    rng = random.Random(seed)
-    server.bulk_load([(k, rng.getrandbits(32)) for k in range(item_count)])
-    meta = server.meta()
-
-    smart_threads: List = []
-    contexts: List = []  # (index_cache, locks, spec_cache) per smart thread
-    for blade_index, node in enumerate(nodes):
-        node.add_threads(threads)
-        SmartContext(node, nodes, features)
-        index_cache = {}
-        locks = LocalLockTable(cluster.sim)
-        spec_cache = SpeculativeCache() if speculative else None
-        for thread in node.threads:
-            smart_threads.append(
-                SmartThread(thread, features, seed=seed + blade_index * 1000)
-            )
-            contexts.append((index_cache, locks, spec_cache))
-    deployment = Deployment(cluster, nodes, nodes, smart_threads, features)
-
-    def stream_for(spec: TenantSpec, stream_seed: int):
-        workload = spec.workload or WRITE_HEAVY
-        return workload.stream(item_count, stream_seed)
-
-    def executor_for(spec: TenantSpec, smart):
-        index_cache, locks, spec_cache = contexts[smart_threads.index(smart)]
-
-        def factory():
-            client = BTreeClient(
-                smart.handle(), meta, index_cache, locks, spec_cache=spec_cache,
-                client_cpu_ns=client_cpu_ns,
-            )
-
-            def execute(item):
-                op, key, value = item
-                if op == READ:
-                    yield from client.lookup(key)
-                elif op == UPDATE:
-                    yield from client.update(key, value)
-                elif op == INSERT:
-                    yield from client.insert(key, value)
-
-            return execute
-
-        return factory
-
-    return deployment, stream_for, executor_for
-
-
-_SETUPS: dict = {
-    "hashtable": _setup_hashtable,
-    "dtx": _setup_dtx,
-    "btree": _setup_btree,
-}
+def warm_up(deployment, engine: OpenLoopEngine, warmup_ns: float) -> float:
+    """Run the warmup and reset every window stat; returns its end."""
+    warm = effective_warmup_ns(deployment.features, warmup_ns)
+    deployment.cluster.sim.run(until=warm)
+    for smart in deployment.smart_threads:
+        smart.stats.reset()
+    engine.reset_window()
+    return warm
 
 
 # -- the runner ----------------------------------------------------------------
@@ -344,46 +190,22 @@ def run_open_loop(
     so tenants contend for the same RNICs and fabric while keeping
     private queues, stats and admission state.
     """
-    if app not in _SETUPS:
-        raise ValueError(f"app must be one of {sorted(_SETUPS)}, got {app!r}")
+    if app not in APPS:
+        raise ValueError(f"app must be one of {sorted(APPS)}, got {app!r}")
     system = system or DEFAULT_SYSTEMS[app]
-    if tenants is None:
-        tenants = [TenantSpec(
-            "t0",
-            arrivals or PoissonArrivals(rate_mops),
-            slo=slo or NO_SLO,
-            workers=workers,
-        )]
-
-    kwargs = {"benchmark": benchmark} if app == "dtx" else {}
-    deployment, stream_for, executor_for = _SETUPS[app](
-        system, threads, compute_blades, memory_blades, servers,
-        item_count, features, config, seed, client_cpu_ns, **kwargs
+    tenants = default_tenants(tenants, rate_mops, arrivals, slo, workers)
+    adapter = APPS[app](
+        system, threads, item_count, seed, features=features, config=config,
+        compute_blades=compute_blades, memory_blades=memory_blades,
+        servers=servers, benchmark=benchmark, client_cpu_ns=client_cpu_ns,
     )
-
+    deployment = adapter.deployment
     if obs is not None:
         obs.attach_deployment(deployment)
-
     sim = deployment.cluster.sim
     engine = OpenLoopEngine(sim, seed=seed)
-    seeder = random.Random(seed)
-    worker_index = 0
-    for spec in tenants:
-        stream = stream_for(spec, seeder.getrandbits(31))
-        executors = []
-        for _ in range(spec.workers):
-            smart = deployment.smart_threads[
-                worker_index % len(deployment.smart_threads)
-            ]
-            executors.append(executor_for(spec, smart))
-            worker_index += 1
-        engine.add_tenant(spec, stream, executors, seeder.getrandbits(31))
-
-    warm = effective_warmup_ns(deployment.features, warmup_ns)
-    sim.run(until=warm)
-    for smart in deployment.smart_threads:
-        smart.stats.reset()
-    engine.reset_window()
+    add_tenants(engine, tenants, adapter, seed)
+    warm = warm_up(deployment, engine, warmup_ns)
     sim.run(until=warm + measure_ns)
 
     result = OpenLoopResult(

@@ -9,6 +9,7 @@ from repro.bench.report import format_table, ratio, result_slug
 from repro.bench.runner import (
     bench_features,
     build_deployment,
+    load_hashtable_server,
     run_btree,
     run_dtx,
     run_hashtable,
@@ -16,6 +17,7 @@ from repro.bench.runner import (
 from repro.cluster import Cluster
 from repro.core import SmartContext, SmartThread
 from repro.core.features import baseline, full
+from repro.traffic import run_open_loop
 from repro.workloads.ycsb import READ_ONLY, WRITE_HEAVY
 
 
@@ -169,6 +171,27 @@ class TestRunners:
             throttle_gap_ns=50_000.0,
         )
         assert slow.throughput_mops < fast.throughput_mops / 2
+
+    @pytest.mark.parametrize("memory_blades", [2, 3])
+    def test_small_table_loads_on_several_blades(self, memory_blades):
+        # 500 items once sized the table to fewer segments than blades,
+        # leaving a blade a zero-byte segment region.
+        window = dict(item_count=500, memory_blades=memory_blades, threads=2,
+                      warmup_ns=0.05e6, measure_ns=0.1e6)
+        closed = run_hashtable(coroutines=2, **window)
+        opened = run_open_loop(rate_mops=0.5, workers=4, **window)
+        assert closed.ops > 0
+        assert opened.tenants[0].completed > 0
+
+    @pytest.mark.parametrize("item_count, memory_blades, segments", [
+        (500, 2, 2), (500, 3, 4), (2_000, 2, 2), (20_000, 2, 32),
+    ])
+    def test_hashtable_segment_count(self, item_count, memory_blades, segments):
+        def build():
+            return build_deployment(full(), 1, memory_blades=memory_blades)
+
+        _, server = load_hashtable_server(build(), item_count, 0, build)
+        assert server.segments == segments
 
 
 class TestRemoteAllocator:

@@ -103,6 +103,19 @@ class TestCli:
         assert "rdma-read: #threads=4, #depth=4" in printed
         assert dump.read_text().startswith("rdma-read,4,4,8,")
 
+    @pytest.mark.parametrize("argv", [
+        ["traffic", "--sweep", ","],
+        ["odp", "--depths", "0"],
+        ["offload", "--chunks", "0"],
+    ])
+    def test_cli_rejects_bad_list_in_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"{argv[1]} values must be ")
+
     def test_cli_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             cli_main(["4", "4", "--policy", "nope"])
